@@ -14,16 +14,7 @@ import time
 from pathlib import Path
 
 from levyfield.bench import emit_manifest, emit_results_csv, run_bench
-from levyfield.config import section7_config
-
-REFERENCE = {
-    ("gaussian", "plugin"): 5.291606e-3,
-    ("gaussian", "fourier"): 5.609035e-4,
-    ("gaussian", "onb"): 2.257974e-2,
-    ("exponential", "plugin"): 0.1240124,
-    ("exponential", "fourier"): 0.1306668,
-    ("exponential", "onb"): 0.1446655,
-}
+from levyfield.config import TABLE1, section7_config
 
 
 def main():
@@ -44,7 +35,7 @@ def main():
             t0 = time.perf_counter()
             result, _ = run_bench(cfg, workers=args.workers)
             elapsed = time.perf_counter() - t0
-            ref = REFERENCE[(law, method)]
+            ref, _ = TABLE1[(law, method)]
             stem = outdir / f"{law}_{method}"
             emit_results_csv(f"{stem}.csv", [result])
             emit_manifest(f"{stem}.manifest.json", cfg,

@@ -118,7 +118,7 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
             "pipelines estimate g = x v (weight x^1); general beta is "
             "available on the library surface only"
         )
-    h = WeightH(beta=1.0, signed=True)
+    h = cfg.weight_obj()
     mse_grid = symmetric_grid(cfg.A, cfg.grid_points)
     u_grid = symmetric_grid(np.pi * cfg.l, _N_U)
 
@@ -146,7 +146,7 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
         else:
             basis = onb_mod.HaarBasis(cfg.A, int(cfg.haar_levels), int(cfg.m))
             system = onb_mod.build_eta(basis, kernel, h)
-            yhat = onb_mod.project_g1bar(g1_call, kernel, h, system)
+            yhat = onb_mod.project_g1bar(g1_call, system)
             xhat = onb_mod.solve_coefficients(yhat, system)
             est = onb_mod.onb_estimate(xhat, basis, mse_grid)
 
@@ -370,7 +370,7 @@ def validate_onb(A: float = 6.0, levels: int = 2, m: int = 7) -> dict:
     coeffs = rng.normal(size=m)
     g0 = lambda x: basis.combine(coeffs, x)
     g1 = forward_g_transform(g0, kernel, h)
-    yhat = onb_mod.project_g1bar(g1, kernel, h, system)
+    yhat = onb_mod.project_g1bar(g1, system)
     xhat = onb_mod.solve_coefficients(yhat, system)
     inspan = float(np.max(np.abs(xhat - coeffs)))
     # triangular solve round-trip on the system matrix

@@ -77,7 +77,9 @@ def _cmd_validate(args) -> int:
         cfg = (ExperimentConfig.from_json(args.config) if args.config
                else ExperimentConfig())
         rep = bench.validate_appendix_rates(cfg, reps=args.reps or 200)
-        print(f"N = {rep['n']}")
+        print(f"{'N':>8s} {'E|psi_err|^2':>14s} {'E|theta_err|^4':>16s}")
+        for n, e2, e4 in zip(rep["n"], rep["mean_sq_psi_err"], rep["mean_quart_theta_err"]):
+            print(f"{n:8d} {e2:14.4e} {e4:16.4e}")
         print(f"slope E|psi_hat-psi|^2 : {rep['slope_psi']:+.3f} (target -1 +- 0.15)")
         print(f"slope E|theta_hat-theta|^4 : {rep['slope_theta']:+.3f} (target -2 +- 0.2)")
         print("PASS" if rep["ok"] else "FAIL")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import ConfigError
 from .model import JumpLaw, SimpleKernel, WeightH
 from .simulate import SeedSpec
 
-__all__ = ["ExperimentConfig", "section7_config"]
+__all__ = ["ExperimentConfig", "TABLE1", "section7_config"]
 
 _METHODS = ("plugin", "fourier", "onb")
 _SMOOTH_FAMILIES = ("gaussian", "epanechnikov", "bandlimited")
@@ -29,6 +31,15 @@ _LAW_KEYS = {
     "exponential": {"kind", "rate"},
     "tabulated": {"kind", "x", "density"},
 }
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_positive_real(val) -> bool:
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and math.isfinite(val) and val > 0)
 
 
 @dataclass(frozen=True)
@@ -83,21 +94,17 @@ class ExperimentConfig:
         extra = set(c.jump_law) - _LAW_KEYS[kind]
         if extra:
             raise ConfigError(f"unknown jump_law keys for {kind}: {sorted(extra)}")
-        if int(c.d) < 1:
-            raise ConfigError("d must be >= 1")
-        if len(c.window) != c.d or any(int(w) < 1 for w in c.window):
-            raise ConfigError("window must list one positive extent per dimension")
-        for name, val, lo in (("mesh", c.mesh, 0.0), ("l", c.l, 0.0), ("A", c.A, 0.0)):
-            if not float(val) > lo:
-                raise ConfigError(f"{name} must be > {lo}")
-        for name, val in (("beta", c.beta), ("n_N", c.n_N), ("grid_points", c.grid_points),
-                          ("haar_levels", c.haar_levels), ("m", c.m), ("reps", c.reps)):
-            if int(val) < 0 or (name in ("grid_points", "m", "reps") and int(val) < 1):
-                raise ConfigError(f"{name} out of range: {val}")
-        if isinstance(c.bandwidth, str):
-            if c.bandwidth != "auto":
-                raise ConfigError("bandwidth must be a positive number or 'auto'")
-        elif not float(c.bandwidth) > 0:
+        for name, lo in (("d", 1), ("beta", 0), ("n_N", 0), ("grid_points", 1),
+                         ("haar_levels", 0), ("m", 1), ("reps", 1), ("master_seed", 0)):
+            val = getattr(c, name)
+            if not _is_int(val) or val < lo:
+                raise ConfigError(f"{name} must be an integer >= {lo}, got {val!r}")
+        if len(c.window) != c.d or not all(_is_int(w) and w >= 1 for w in c.window):
+            raise ConfigError("window must list one positive integer extent per dimension")
+        for name in ("mesh", "l", "A"):
+            if not _is_positive_real(getattr(c, name)):
+                raise ConfigError(f"{name} must be a finite number > 0")
+        if not (c.bandwidth == "auto" or _is_positive_real(c.bandwidth)):
             raise ConfigError("bandwidth must be a positive number or 'auto'")
         if not isinstance(c.oracle_g1, bool):
             raise ConfigError("oracle_g1 must be a boolean")
@@ -173,6 +180,19 @@ class ExperimentConfig:
 
     def seed_spec(self) -> SeedSpec:
         return SeedSpec(master_seed=int(self.master_seed))
+
+
+# Published benchmark table, per (jump law, method) cell: the mean squared
+# L2 error over 20 replications, and the factor band around it that the
+# acceptance gate allows.
+TABLE1 = {
+    ("gaussian", "fourier"): (5.609035e-4, 3.0),
+    ("gaussian", "plugin"): (5.291606e-3, 3.0),
+    ("gaussian", "onb"): (2.257974e-2, 3.0),
+    ("exponential", "plugin"): (0.1240124, 2.0),
+    ("exponential", "fourier"): (0.1306668, 2.0),
+    ("exponential", "onb"): (0.1446655, 2.0),
+}
 
 
 def section7_config(law: str, method: str, **overrides) -> ExperimentConfig:

@@ -258,14 +258,3 @@ def calibrate_bound_constant(errors_sq: np.ndarray, bias_sq: float,
     need = np.max(errors_sq - bias_sq) / scale
     return float(max(need, 1e-12))
 
-
-def write_ecf_csv(ecf: EcfEstimate, path) -> None:
-    """Debug dump: `u,re_psi,im_psi,re_theta,im_theta`, one row per node."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "re_psi", "im_psi", "re_theta", "im_theta"])
-        for u, p, t in zip(ecf.u_grid.nodes(), ecf.psi_hat, ecf.theta_hat):
-            writer.writerow([repr(float(u)), repr(float(p.real)), repr(float(p.imag)),
-                             repr(float(t.real)), repr(float(t.imag))])

@@ -28,7 +28,6 @@ __all__ = [
     "symmetric_grid",
     "trapezoid_weights",
     "l2_norm",
-    "inner_product",
     "fourier_forward",
     "fourier_inverse_truncated",
     "inverse_transform_at",
@@ -117,15 +116,6 @@ def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> complex | float:
-    """Trapezoid approximation of <f, g> = integral f * conj(g)."""
-    if f.grid != g.grid:
-        raise GridMismatchError("inner product requires identical grids")
-    w = trapezoid_weights(f.grid)
-    out = np.sum(w * f.values * np.conj(g.values))
-    return out if np.iscomplexobj(out) else float(out)
-
-
 def _phase_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float,
                method: str) -> np.ndarray:
     """Evaluate S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j).
@@ -181,6 +171,19 @@ def fourier_forward(f: GridFunction, u_grid: Grid1D, method: str = "auto") -> Gr
     return GridFunction(u_grid, vals)
 
 
+def _inverse_sum(F: GridFunction, x: np.ndarray, method: str) -> np.ndarray:
+    """(1/2pi) integral_{-pi l}^{pi l} e^{-ixu} F(u) du at the points x, by
+    trapezoid quadrature on F's symmetric u-grid (complex result)."""
+    if not F.grid.is_symmetric():
+        raise InvalidInputError(
+            f"inverse transform requires a symmetric u-grid, got [{F.grid.lo}, {F.grid.hi}]"
+        )
+    if method == "auto":
+        method = "czt" if _uniform(x) else "direct"
+    coef = (trapezoid_weights(F.grid) * F.values / (2.0 * np.pi)).astype(complex)
+    return _phase_sum(coef, F.grid.nodes(), x, -1.0, method)
+
+
 def fourier_inverse_truncated(F: GridFunction, x_grid: Grid1D,
                               method: str = "auto") -> tuple[GridFunction, float]:
     """Truncated inverse transform (1/2pi) integral_{-pi l}^{pi l} e^{-ixu} F(u) du.
@@ -189,16 +192,7 @@ def fourier_inverse_truncated(F: GridFunction, x_grid: Grid1D,
     as a GridFunction together with the maximal imaginary residue, which is
     a diagnostic for how far F is from Hermitian symmetry.
     """
-    if not F.grid.is_symmetric():
-        raise InvalidInputError(
-            f"inverse transform requires a symmetric u-grid, got [{F.grid.lo}, {F.grid.hi}]"
-        )
-    if method == "auto":
-        method = "czt"
-    coef = trapezoid_weights(F.grid) * F.values / (2.0 * np.pi)
-    u = F.grid.nodes()
-    x = x_grid.nodes()
-    vals = _phase_sum(coef.astype(complex), u, x, -1.0, method)
+    vals = _inverse_sum(F, x_grid.nodes(), method)
     return GridFunction(x_grid, vals.real), float(np.max(np.abs(vals.imag)))
 
 
@@ -209,14 +203,8 @@ def inverse_transform_at(F: GridFunction, points: np.ndarray,
     Same quadrature sum as :func:`fourier_inverse_truncated`; ``points``
     need not form a grid (the chirp-z path is used when they are uniform).
     """
-    if not F.grid.is_symmetric():
-        raise InvalidInputError("inverse transform requires a symmetric u-grid")
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    coef = (trapezoid_weights(F.grid) * F.values / (2.0 * np.pi)).astype(complex)
-    u = F.grid.nodes()
-    if method == "auto":
-        method = "czt" if _uniform(points) else "direct"
-    return _phase_sum(coef, u, points, -1.0, method).real
+    return _inverse_sum(F, points, method).real
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -61,14 +61,13 @@ def contraction_factor(kernel: SimpleKernel, h: WeightH,
     s_k = |f_k/f1|^beta.  Reports satisfied = (e < 1) instead of raising."""
     pivot, q_idx, n1 = kernel.pivot_info(h, pivot_value)
     per_term = []
-    total = 0.0
     for k in range(kernel.n):
         if k in q_idx:
             continue
         sk = h.s(pivot / kernel.coeffs[k])
         contrib = sk * math.sqrt(abs(pivot) / abs(kernel.coeffs[k])) / n1
         per_term.append((k, sk, contrib))
-        total += contrib
+    total = e_factor(kernel, h, pivot)
     return ContractionReport(pivot_value=pivot, n1=n1, e_factor=total,
                              per_term=tuple(per_term), satisfied=total < 1.0)
 
@@ -141,7 +140,6 @@ def _compositions(total: int, parts: int):
 
 
 def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
-                      pivot_value: float | None = None,
                       term_budget: int = 200_000) -> SeriesPlan:
     """Group the raw multi-index series by multisets of non-pivot values.
 
@@ -152,7 +150,7 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
         raise InvalidInputError("series inversion assumes unit cell volumes")
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
-    pivot, q_idx, n1 = kernel.pivot_info(h, pivot_value)
+    pivot, q_idx, n1 = kernel.pivot_info(h)
     e = e_factor(kernel, h, pivot)
     if e >= 1.0:
         warnings.warn(
@@ -190,25 +188,16 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
                       values=tuple(values), terms=tuple(terms))
 
 
-def _as_callable(g1_eval):
-    if callable(g1_eval):
-        return g1_eval
-    if isinstance(g1_eval, GridFunction):
-        return g1_eval
-    raise InvalidInputError("g1 must be a callable or a GridFunction")
-
-
 def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
-                    x_grid: Grid1D, pivot_value: float | None = None) -> GridFunction:
+                    x_grid: Grid1D) -> GridFunction:
     """Truncated fixed-point series applied to an estimate (or exact
     evaluation) of g1; off-grid GridFunction arguments use linear
     interpolation with zero extension."""
-    plan = build_series_plan(kernel, h, n_trunc, pivot_value)
-    g1 = _as_callable(g1_eval)
+    plan = build_series_plan(kernel, h, n_trunc)
     x = x_grid.nodes()
     out = np.zeros(len(x))
     for scale, w, sign, _depth in plan.grouped_terms():
-        out += sign * w * h.ratio(scale) * np.asarray(g1(scale * x), dtype=float)
+        out += sign * w * h.ratio(scale) * np.asarray(g1_eval(scale * x), dtype=float)
     return GridFunction(x_grid, out)
 
 
@@ -229,8 +218,7 @@ def plugin_error_bound(e_factor_: float, s_f1: float, f1: float, n1: int,
 
 
 def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
-                     n_trunc: int, l: float, x_grid: Grid1D,
-                     pivot_value: float | None = None) -> GridFunction:
+                     n_trunc: int, l: float, x_grid: Grid1D) -> GridFunction:
     """Spectral-domain inversion: assemble the F[g0] estimate on
     [-pi l, pi l] from F[g1] evaluated at scaled arguments, then apply the
     truncated inverse transform.
@@ -243,7 +231,7 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
         raise InvalidInputError("the Fourier method needs integer beta >= 0")
     beta = int(beta)
     h = WeightH(beta=beta, signed=True)
-    plan = build_series_plan(kernel, h, n_trunc, pivot_value)
+    plan = build_series_plan(kernel, h, n_trunc)
     e_cond = e_factor(kernel, WeightH(beta=beta + 0.5), plan.pivot_value)
     if e_cond >= 1.0:
         warnings.warn(
@@ -272,8 +260,7 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
 
 
 def fourier_error_bound(kernel: SimpleKernel, beta: int, n_trunc: int, l: float,
-                        err_of_cutoff, norm_g1: float,
-                        pivot_value: float | None = None) -> float:
+                        err_of_cutoff, norm_g1: float) -> float:
     """Literal evaluation of the Fourier-method error bound
 
         (1/(n1 |f1|^beta)) [ err(l/|f1|)
@@ -284,7 +271,7 @@ def fourier_error_bound(kernel: SimpleKernel, beta: int, n_trunc: int, l: float,
     ``err_of_cutoff`` maps a cutoff to the corresponding g1 error norm.
     """
     h = WeightH(beta=beta, signed=True)
-    plan = build_series_plan(kernel, h, n_trunc, pivot_value)
+    plan = build_series_plan(kernel, h, n_trunc)
     f1, n1 = plan.pivot_value, plan.n1
     e_cond = e_factor(kernel, WeightH(beta=beta + 0.5), f1)
     if e_cond >= 1.0:

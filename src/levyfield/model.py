@@ -445,13 +445,12 @@ def forward_g_transform(g0_eval, kernel: SimpleKernel, h: WeightH):
 
     Returns a pointwise evaluator; g0_eval may be a callable or GridFunction.
     """
-    g0 = g0_eval if callable(g0_eval) else g0_eval.__call__
 
     def g1(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for fk, vk in zip(kernel.coeffs, kernel.volumes):
-            out = out + vk / abs(fk) * h.ratio(1.0 / fk) * np.asarray(g0(x / fk))
+            out = out + vk / abs(fk) * h.ratio(1.0 / fk) * np.asarray(g0_eval(x / fk))
         return out
 
     return g1

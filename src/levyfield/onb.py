@@ -8,7 +8,9 @@ by level and shift) is pushed through the forward scaling operator,
 
 Gram-Schmidt turns (eta_j) into an orthonormal family (e_j), and the
 coefficients of g0 in the Haar basis solve the triangular system
-y_j = sum_i x_i <eta_i, e_j> by backward substitution.
+y_j = sum_i x_i <eta_i, e_j> by backward substitution.  Gram-Schmidt on
+the sampled eta_j is the QR factorisation of their sample matrix, and
+<eta_i, e_j> is its triangular factor R, so both steps run on LAPACK.
 
 All inner products use midpoint sampling with the rectangle rule, which
 integrates the dyadic step functions exactly; node-based trapezoid rules
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     BoundInapplicableError,
@@ -101,10 +104,6 @@ class HaarBasis:
         mid = self.midpoints()
         return np.stack([self.evaluate(j, mid) for j in range(self.m)])
 
-    def functions(self) -> list[GridFunction]:
-        g = self.midpoint_grid()
-        return [GridFunction(g, row) for row in self.values_matrix()]
-
     def combine(self, coeffs: np.ndarray, x) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if len(coeffs) != self.m:
@@ -135,34 +134,20 @@ class EtaSystem:
     def m(self) -> int:
         return self.basis.m
 
-    @property
-    def M(self) -> float:
-        """Validity half-width factor: the fixed-point identity holds on
-        [-A M, A M] with M = min(1, |f1|)."""
-        return min(1.0, abs(self.pivot_value))
-
-    def eta(self) -> list[GridFunction]:
-        g = self.basis.midpoint_grid()
-        return [GridFunction(g, row) for row in self.eta_values]
-
-    def e_basis(self) -> list[GridFunction]:
-        g = self.basis.midpoint_grid()
-        return [GridFunction(g, row) for row in self.e_values]
-
     def ip(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.dot(a, b) * self.basis.dx)
 
 
-def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH,
-              pivot_value: float | None = None) -> EtaSystem:
+def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     """Construct the eta system and orthonormalise it.
 
     Preconditions: the pivot has maximal absolute value among the
     coefficients and the contraction factor satisfies e(f, h) < 1.
-    Modified Gram-Schmidt with one reorthogonalisation pass; residual
-    vectors below 1e-8 of the eta norm raise a degeneracy error.
+    Gram-Schmidt is the QR factorisation of the sqrt(dx)-scaled samples,
+    signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
+    norm raises a degeneracy error.
     """
-    pivot, q_idx, n1 = kernel.pivot_info(h, pivot_value)
+    pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):
         raise PreconditionError(
@@ -173,62 +158,42 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH,
     if e >= 1.0:
         raise PreconditionError(f"contraction factor e = {e:.6g} >= 1")
     mid = basis.midpoints()
-    dx = basis.dx
     eta = np.zeros((basis.m, basis.n_cells))
     for j in range(basis.m):
         for fk in kernel.coeffs:
             c = pivot / fk
             eta[j] += (1.0 / abs(fk)) * h.ratio(c) * basis.evaluate(j, c * mid)
-
-    def ip(a, b):
-        return float(np.dot(a, b) * dx)
-
-    e_vec = np.zeros_like(eta)
-    for j in range(basis.m):
-        v = eta[j].copy()
-        for _pass in range(2):
-            for i in range(j):
-                v -= ip(v, e_vec[i]) * e_vec[i]
-        nrm = np.sqrt(ip(v, v))
-        if nrm < 1e-8 * np.sqrt(ip(eta[j], eta[j])):
-            raise DegeneracyError(
-                f"eta_{j + 1} is numerically dependent on its predecessors"
-            )
-        e_vec[j] = v / nrm
-    mix = np.zeros((basis.m, basis.m))
-    for j in range(basis.m):
-        for i in range(basis.m):
-            mix[j, i] = ip(eta[i], e_vec[j])
-    return EtaSystem(basis=basis, pivot_value=pivot, n1=n1, h=h,
-                     e_contraction=e, eta_values=eta, e_values=e_vec, mix=mix)
+    samples = np.sqrt(basis.dx) * eta.T
+    q, mix = np.linalg.qr(samples)
+    small = np.abs(np.diag(mix)) < 1e-8 * np.linalg.norm(samples, axis=0)
+    if np.any(small):
+        raise DegeneracyError(
+            f"eta_{np.argmax(small) + 1} is numerically dependent on its predecessors"
+        )
+    sign = np.sign(np.diag(mix))[:, None]
+    return EtaSystem(basis=basis, pivot_value=pivot, n1=n1, h=h, e_contraction=e,
+                     eta_values=eta, e_values=sign * q.T / np.sqrt(basis.dx),
+                     mix=sign * mix)
 
 
-def project_g1bar(g1_eval, kernel: SimpleKernel, h: WeightH,
-                  system: EtaSystem) -> np.ndarray:
+def project_g1bar(g1_eval, system: EtaSystem) -> np.ndarray:
     """Coefficients y_j = <g1bar, e_j> of the scaled data function
     g1bar(x) = (h(x)/h(f1 x)) g1(f1 x) against the orthonormal family."""
-    pivot, _, _ = kernel.pivot_info(h, system.pivot_value)
-    g1 = g1_eval if callable(g1_eval) else g1_eval.__call__
+    pivot = system.pivot_value
     mid = system.basis.midpoints()
-    g1bar = h.ratio(pivot) * np.asarray(g1(pivot * mid), dtype=float)
+    g1bar = system.h.ratio(pivot) * np.asarray(g1_eval(pivot * mid), dtype=float)
     return np.array([system.ip(g1bar, e_row) for e_row in system.e_values])
 
 
 def solve_coefficients(yhat: np.ndarray, system: EtaSystem) -> np.ndarray:
-    """Backward substitution for y_j = sum_i x_i mix[j, i], starting from
-    the last equation; mix is upper triangular."""
+    """Backward substitution for y_j = sum_i x_i mix[j, i]; mix is upper
+    triangular."""
     yhat = np.asarray(yhat, dtype=float)
-    m = system.m
-    if len(yhat) != m:
-        raise InvalidInputError(f"expected {m} projection coefficients")
-    B = system.mix
-    diag = np.diag(B)
-    if np.any(np.abs(diag) < 1e-14):
+    if len(yhat) != system.m:
+        raise InvalidInputError(f"expected {system.m} projection coefficients")
+    if np.any(np.abs(np.diag(system.mix)) < 1e-14):
         raise SingularSystemError("triangular system has a zero diagonal entry")
-    x = np.zeros(m)
-    for j in range(m - 1, -1, -1):
-        x[j] = (yhat[j] - np.dot(B[j, j + 1:], x[j + 1:])) / B[j, j]
-    return x
+    return solve_triangular(system.mix, yhat)
 
 
 def onb_estimate(xhat: np.ndarray, basis: HaarBasis,

@@ -20,7 +20,7 @@ from levyfield.bench import (
     validate_kernels,
     validate_onb,
 )
-from levyfield.config import ExperimentConfig, section7_config
+from levyfield.config import TABLE1, ExperimentConfig, section7_config
 from levyfield.errors import SingularRecoveryError
 from levyfield.invert import build_series_plan, contraction_factor
 from levyfield.model import (
@@ -31,15 +31,6 @@ from levyfield.model import (
     forward_gaussian,
     recover_a0_b0,
 )
-
-TABLE1 = {
-    ("gaussian", "fourier"): (5.609035e-4, 3.0),
-    ("gaussian", "plugin"): (5.291606e-3, 3.0),
-    ("gaussian", "onb"): (2.257974e-2, 3.0),
-    ("exponential", "plugin"): (0.1240124, 2.0),
-    ("exponential", "fourier"): (0.1306668, 2.0),
-    ("exponential", "onb"): (0.1446655, 2.0),
-}
 
 
 def _report(label, ok, detail=""):

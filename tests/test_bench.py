@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("method", ["plugin", "fourier", "onb"])
+    def test_shipped_config_matches_section7(self, law, method):
+        path = Path(__file__).parents[1] / "configs" / f"{law}_{method}.json"
+        assert json.loads(path.read_text()) == section7_config(law, method).to_dict()
 
     def test_section7_parameters(self):
         assert section7_config("gaussian", "fourier").bandwidth == 0.5
@@ -211,9 +218,19 @@ class TestCli:
                          "--out", str(results)]) == 0
         assert len(results.read_text().splitlines()) == 3
 
-    def test_config_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("key,val", [
+        ("methd", "fourier"),
+        ("n_N", "abc"),
+        ("n_N", True),
+        ("reps", 1.7),
+        ("window", [100, "a"]),
+        ("l", "x"),
+        ("A", float("inf")),
+        ("master_seed", -1),
+    ])
+    def test_config_error_exit_code(self, tmp_path, key, val):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"methd": "fourier"}))
+        path.write_text(json.dumps({key: val}))
         assert cli_main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
 
     def test_numeric_error_exit_code(self, tmp_path):
@@ -232,8 +249,8 @@ class TestCli:
                          "--out", str(tmp_path / "r.csv")]) == 4
 
     def test_validate_suites(self):
-        assert cli_main(["validate", "--suite", "fixed-point"]) == 0
-        assert cli_main(["validate", "--suite", "onb"]) == 0
+        for suite in ("fixed-point", "onb", "appendix-rates"):
+            assert cli_main(["validate", "--suite", suite]) == 0
 
     def test_seed_override_changes_sample(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)

@@ -272,21 +272,6 @@ class TestTheoremBound:
         assert val == pytest.approx(2 * np.pi / 0.25, rel=1e-9)
 
 
-class TestEcfCsv:
-    def test_debug_dump_format(self, tmp_path):
-        from levyfield.ecf import write_ecf_csv
-        ecf = compute_ecf(np.array([1.0, -0.5]), symmetric_grid(1.0, 5))
-        path = tmp_path / "ecf.csv"
-        write_ecf_csv(ecf, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "u,re_psi,im_psi,re_theta,im_theta"
-        assert len(lines) == 6
-        # center row carries psi = 1 and theta = sample mean
-        mid = lines[3].split(",")
-        assert float(mid[0]) == 0.0 and float(mid[1]) == 1.0
-        assert float(mid[3]) == 0.25
-
-
 class TestFitH3:
     def test_recovers_synthetic_polynomial_envelope(self):
         grid = symmetric_grid(20.0, 2001)
