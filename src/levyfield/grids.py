@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
+from scipy.signal import CZT
 
 from .errors import GridMismatchError, InvalidInputError
 
@@ -140,13 +140,16 @@ def _phase_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float,
         w = np.exp(sign * 1j * du * dx)
         out = np.zeros(len(u), dtype=complex)
         # blocking keeps the chirp phases small, which holds the rounding
-        # error of the fast path below the 1e-10 agreement gate
+        # error of the fast path below the 1e-10 agreement gate; every block
+        # of one length shares one chirp-z plan
         block = 128
+        plans = {}
         for start in range(0, len(x), block):
             xb = x[start:start + block]
+            if len(xb) not in plans:
+                plans[len(xb)] = CZT(len(xb), len(u), w, a=1.0 + 0j)
             a = coef[start:start + block] * np.exp(sign * 1j * u[0] * (xb - xb[0]))
-            s = czt(a, m=len(u), w=w, a=1.0 + 0j)
-            out += s * np.exp(sign * 1j * u * xb[0])
+            out += plans[len(xb)](a) * np.exp(sign * 1j * u * xb[0])
         return out
     raise InvalidInputError(f"unknown transform method {method!r}")
 
@@ -219,8 +222,8 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         raise GridMismatchError(
             f"convolution needs equal spacings, got {dx} vs {g.grid.spacing}"
         )
-    full = np.convolve(f.values, g.values) * dx
-    # full[k] approximates (f*g) at f.lo + g.lo + k dx; resample onto f's grid.
+    # lag k of the full convolution approximates (f*g) at f.lo + g.lo + k dx;
+    # output i reads lags base_i and base_i + 1.
     shift = g.grid.lo / dx
     idx = np.arange(f.grid.n) - shift
     base = np.floor(idx).astype(int)
@@ -228,9 +231,17 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     if np.max(np.abs(frac)) < 1e-9 or np.max(np.abs(frac - 1)) < 1e-9:
         base = np.rint(idx).astype(int)
         frac = np.zeros_like(idx)
-    lo = np.clip(base, 0, len(full) - 1)
-    hi = np.clip(base + 1, 0, len(full) - 1)
-    valid_lo = (base >= 0) & (base < len(full))
-    valid_hi = (base + 1 >= 0) & (base + 1 < len(full))
-    vals = np.where(valid_lo, full[lo], 0.0) * (1 - frac) + np.where(valid_hi, full[hi], 0.0) * frac
+    # Lag k sums f[i] g[k - i], so lags k0..k1 need only the taps
+    # k0 - (n_f - 1) .. k1; part[k - j0] is lag k for every k0 <= k <= k1.
+    n_full = f.grid.n + g.grid.n - 1
+    k0, k1 = max(base[0], 0), min(base[-1] + 1, n_full - 1)
+    j0 = min(max(k0 - f.grid.n + 1, 0), g.grid.n - 1)
+    j1 = max(min(k1, g.grid.n - 1), j0)
+    part = np.convolve(f.values, g.values[j0:j1 + 1]) * dx
+
+    def lag(k):
+        valid = (k >= 0) & (k < n_full)
+        return np.where(valid, part[np.clip(k - j0, 0, len(part) - 1)], 0.0)
+
+    vals = lag(base) * (1 - frac) + lag(base + 1) * frac
     return GridFunction(f.grid, vals)

@@ -240,6 +240,12 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
 
+    def test_oversized_kernel_grid_exit_code(self, tmp_path):
+        # A = 1e-9 asks for a ~1e12-node kernel grid; refused before allocation
+        cfg_path = self._write_cfg(tmp_path, A=1e-9, reps=1)
+        assert cli_main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r.csv")]) == 3
+
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         missing_dir = tmp_path / "no" / "such" / "dir" / "r.csv"

@@ -101,6 +101,22 @@ class TestFourierForward:
         rhs = a * fourier_forward(f1, u).values + b * fourier_forward(f2, u).values
         assert np.max(np.abs(lhs.values - rhs)) < 1e-10
 
+    def test_czt_plans_match_per_block_czt(self):
+        from scipy.signal import czt
+        from levyfield.grids import _phase_sum
+        rng = np.random.default_rng(3)
+        x = np.linspace(-4.5 * np.pi, 4.5 * np.pi, 300)  # blocks of 128, 128 and 44
+        u = np.linspace(-6.0, 6.0, 201)
+        coef = rng.normal(size=300) + 1j * rng.normal(size=300)
+        for sign in (1.0, -1.0):
+            w = np.exp(sign * 1j * (u[1] - u[0]) * (x[1] - x[0]))
+            ref = np.zeros(len(u), dtype=complex)
+            for start in range(0, len(x), 128):
+                xb = x[start:start + 128]
+                a = coef[start:start + 128] * np.exp(sign * 1j * u[0] * (xb - xb[0]))
+                ref += czt(a, m=len(u), w=w, a=1.0 + 0j) * np.exp(sign * 1j * u * xb[0])
+            assert np.array_equal(_phase_sum(coef, x, u, sign, "czt"), ref)
+
 
 class TestFourierInverse:
     def test_zero(self):
@@ -197,6 +213,28 @@ class TestConvolve:
         b = convolve(f2, f1).values
         scale = np.max(np.abs(a)) + 1e-300
         assert np.max(np.abs(a - b)) / scale < 1e-12
+
+    @pytest.mark.parametrize("n_taps,origin", [
+        (2001, -1000.0),   # centred kernel longer than f
+        (41, -20.0),       # centred kernel shorter than f
+        (2001, -1000.37),  # off-lattice origin
+        (1500, -60.25),    # off-lattice, one-sided kernel longer than f
+    ])
+    def test_matches_full_convolution(self, n_taps, origin):
+        # reference: every lag of the full convolution, then the same linear
+        # interpolation at f's nodes (zero beyond the last lag on each side)
+        rng = np.random.default_rng(5)
+        g = Grid1D(-2, 2, 201)
+        dx = g.spacing
+        f = GridFunction(g, rng.normal(size=g.n))
+        k = GridFunction(Grid1D(origin * dx, (origin + n_taps - 1) * dx, n_taps),
+                         rng.random(n_taps))
+        full = np.concatenate([[0.0], np.convolve(f.values, k.values) * dx, [0.0]])
+        idx = np.arange(g.n) - k.grid.lo / dx
+        idx = np.where(np.abs(idx - np.rint(idx)) < 1e-9, np.rint(idx), idx)
+        ref = np.interp(idx, np.arange(-1, len(full) - 1), full)
+        scale = dx * np.sum(np.abs(f.values)) * np.max(np.abs(k.values))
+        assert np.max(np.abs(convolve(f, k).values - ref)) <= 1e-15 * scale
 
     def test_mismatched_spacing_rejected(self):
         f = GridFunction.from_callable(Grid1D(-1, 1, 101), gaussian_density)
