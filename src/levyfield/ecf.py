@@ -13,12 +13,12 @@ Note on the third line: theta_hat estimates E[Y e^{iuY}] = psi(u) F[g1](u),
 so the consistent spectral estimator is theta_hat / psi_tilde with no
 additional phase factor.
 
-The first two sums are evaluated on the uniform u-grid by a type-1
-non-uniform FFT with Gaussian gridding, in O(N * width + n_u log n_u) work
-instead of O(N n_u).  It agrees with direct exponentials to about 1e-14
-times the scale of the weights (1 for psi_hat, |Y| for theta_hat); the
-direct sums stay as the reference path and serve grids with no more nodes
-than spreading taps.  At u = 0 the sums are set to 1 and the sample mean.
+The first two sums are one call of :func:`grids.phase_sum`, the sum every
+transform of the package uses: a type-1 non-uniform FFT on the uniform
+u-grid, in O(N * width + n_u log n_u) work instead of O(N n_u).  It agrees
+with direct exponentials to about 1e-14 times the scale of the weights
+(1 for psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and
+the sample mean.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .grids import (
     GridFunction,
     fourier_inverse_truncated,
     inverse_transform_at,
+    phase_sum,
     symmetric_grid,
     trapezoid_weights,
 )
@@ -66,82 +67,10 @@ class EcfEstimate:
     stabilized_recip: np.ndarray | None = field(default=None, repr=False)
 
 
-# Gaussian spreading half-width, in oversampled-grid points on each side of a
-# source: the truncated Gaussian leaves a relative error near 1e-14.
-_SPREAD_HALF_WIDTH = 14
-# sources spread per pass; bounds the (block x width) scratch at well under 1 MB
-_SPREAD_BLOCK = 512
-
-
-def _ecf_sums_direct(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    psi = np.empty(len(u), dtype=complex)
-    theta = np.empty(len(u), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(y), 1)))
-    for start in range(0, len(u), chunk):
-        ub = u[start:start + chunk]
-        ph = np.exp(1j * np.outer(ub, y))
-        psi[start:start + chunk] = ph.mean(axis=1)
-        theta[start:start + chunk] = (ph * y).mean(axis=1)
-    return psi, theta
-
-
-def _ecf_sums_nufft(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Type-1 non-uniform FFT of the ECF sums on the uniform nodes u.
-
-    With c = n_u // 2 and m = k - c, e^{i u_k y} = e^{i u_c y} e^{i m du y}, so
-    both sums are Fourier coefficients S(m) = sum_j w_j e^{i m x_j} of sources
-    x_j = du y_j (mod 2 pi) with weights w_j = e^{i u_c y_j} and Y_j w_j.  The
-    sources are spread by a periodised Gaussian onto 2 n_u points, one inverse
-    FFT gives the Gaussian-weighted coefficients, and dividing by the
-    Gaussian's own coefficients recovers S(m) (Greengard & Lee, SIAM Review
-    46(3), 2004).
-    """
-    n_u = len(u)
-    c = n_u // 2
-    du = (u[-1] - u[0]) / (n_u - 1)
-    centre = u[0] + c * du
-    m_r = 2 * n_u
-    h = 2 * np.pi / m_r
-    # Greengard & Lee's Gaussian variance pi M_sp / (M^2 R (R - 1/2)) at R = 2
-    tau = np.pi * _SPREAD_HALF_WIDTH / (3.0 * n_u ** 2)
-    taps = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
-    spread = np.zeros((4, m_r))
-    for start in range(0, len(y), _SPREAD_BLOCK):
-        yb = y[start:start + _SPREAD_BLOCK]
-        # reduce to [-pi, pi) so that small phases stay exact
-        x = du * yb
-        x -= 2 * np.pi * np.rint(x / (2 * np.pi))
-        node = np.floor(x / h).astype(np.int64)[:, None] + taps
-        kern = np.exp(-(x[:, None] - node * h) ** 2 / (4 * tau))
-        node %= m_r
-        w = np.exp(1j * centre * yb)
-        wy = w * yb
-        for row, weight in zip(spread, (w.real, w.imag, wy.real, wy.imag)):
-            row += np.bincount(node.ravel(), weights=(kern * weight[:, None]).ravel(),
-                               minlength=m_r)
-    m = np.arange(n_u) - c
-    deconv = np.sqrt(np.pi / tau) * np.exp(m * m * tau) / len(y)
-    psi, theta = np.fft.ifft(spread[0::2] + 1j * spread[1::2], axis=1)[:, m % m_r] * deconv
-    return psi, theta
-
-
-def _ecf_sums(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi_hat and theta_hat on the uniform nodes u.
-
-    The non-uniform FFT agrees with the direct exponentials to about 1e-14
-    times the scale of the weights (1 for psi, |Y| for theta) and costs
-    O(N * width + n_u log n_u).  Direct exponentials (``_ecf_sums_direct``,
-    also the reference path) cost O(N * n_u) and take over when there are no
-    more nodes than spreading taps.
-    """
-    if len(u) <= 2 * _SPREAD_HALF_WIDTH:
-        return _ecf_sums_direct(y, u)
-    return _ecf_sums_nufft(y, u)
-
-
 def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
-    """Empirical means of e^{iuY} and Y e^{iuY} over the sample (accuracy as
-    stated in :func:`_ecf_sums`; exact at u = 0).
+    """Empirical means of e^{iuY} and Y e^{iuY} over the sample: the sums
+    of :func:`grids.phase_sum` over the coefficient rows 1 and Y, divided
+    by N (exact at u = 0).
 
     Hermitian symmetry psi_hat(-u) = conj(psi_hat(u)) is used to halve the
     work on symmetric grids with a central node.
@@ -150,13 +79,12 @@ def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
     if len(y) < 1:
         raise InvalidInputError("need at least one observation")
     u = u_grid.nodes()
+    rows = np.stack([np.ones_like(y), y])
     if u_grid.is_symmetric() and u_grid.n % 2 == 1:
-        half = u[u_grid.n // 2:]
-        psi_h, theta_h = _ecf_sums(y, half)
-        psi = np.concatenate([np.conj(psi_h[:0:-1]), psi_h])
-        theta = np.concatenate([np.conj(theta_h[:0:-1]), theta_h])
+        half = phase_sum(rows, y, u[u_grid.n // 2:]) / len(y)
+        psi, theta = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
     else:
-        psi, theta = _ecf_sums(y, u)
+        psi, theta = phase_sum(rows, y, u) / len(y)
     # at u = 0 the sums reduce to 1 and the sample mean; evaluate them as such
     at_zero = u == 0.0
     psi[at_zero] = 1.0

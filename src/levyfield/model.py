@@ -11,6 +11,9 @@ sampled at a point:
 with U(u) = u (a0 + integral x [1_{[-1,1]}(ux) - 1_{[-1,1]}(x)] v0(x) dx).
 The algebraic recovery of (a0, b0) from (a1, b1) inverts the first two
 relations; it is singular when sum_k f_k vol_k = 0.
+
+Jump laws have closed-form characteristic functions, except tabulated ones,
+whose trapezoid sums go through :func:`grids.phase_sum`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     InvalidInputError,
     SingularRecoveryError,
 )
-from .grids import GridFunction, trapezoid_weights
+from .grids import GridFunction, phase_sum, trapezoid_weights
 
 __all__ = [
     "JumpLaw",
@@ -131,7 +134,7 @@ class JumpLaw:
             return self.rate_ / (self.rate_ - 1j * u)
         nodes = self.density_.grid.nodes()
         w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
-        return np.exp(1j * np.multiply.outer(u, nodes)) @ w
+        return phase_sum(w, nodes, u.ravel()).reshape(u.shape)
 
     def char_fn_deriv(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -141,7 +144,7 @@ class JumpLaw:
             return 1j * self.rate_ / (self.rate_ - 1j * u) ** 2
         nodes = self.density_.grid.nodes()
         w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
-        return np.exp(1j * np.multiply.outer(u, nodes)) @ (1j * nodes * w)
+        return phase_sum(1j * nodes * w, nodes, u.ravel()).reshape(u.shape)
 
     def raw_moment(self, r: int) -> float:
         """E[J^r] of the normalised jump distribution."""

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     SingularSystemError,
 )
-from .grids import Grid1D, GridFunction
+from .grids import Grid1D, GridFunction, _check_budget
 from .model import SimpleKernel, WeightH, e_factor
 
 __all__ = [
@@ -65,13 +65,15 @@ class HaarBasis:
             raise InvalidInputError("half-width A must be positive")
         if self.levels < 0:
             raise InvalidInputError("levels must be >= 0")
-        max_m = 2 ** (self.levels + 1)
-        if not 1 <= self.m <= max_m:
+        # n_cells rounds up to whole blocks of 2^(levels+1) cells; past 63
+        # levels any block exceeds the budget, so the power is capped there
+        block = 2 ** min(self.levels + 1, 64)
+        cells = int(-(-self.n_cells // block) * block)
+        _check_budget(cells, "Haar cells")
+        if not 1 <= self.m <= block:
             raise InvalidInputError(
-                f"m must lie in [1, {max_m}] for {self.levels} wavelet levels"
+                f"m must lie in [1, {block}] for {self.levels} wavelet levels"
             )
-        block = 2 ** (self.levels + 1)
-        cells = int(np.ceil(self.n_cells / block)) * block
         object.__setattr__(self, "n_cells", cells)
 
     @property

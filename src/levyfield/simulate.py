@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
+from .grids import _check_budget
 from .model import JumpLaw, SimpleKernel
 
 __all__ = ["SeedSpec", "GridSample", "sample_cp_cell", "sample_field",
            "write_sample_csv", "read_sample_csv"]
-
-_MAX_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,7 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
     hi = off.max(axis=0)
     ext_shape = tuple(int(w + (h - l)) for w, l, h in zip(window, lo, hi))
     n_cells = int(np.prod(ext_shape))
-    if n_cells > _MAX_CELLS:
-        raise ResourceLimitError(
-            f"window requires {n_cells} cells, exceeding the budget of {_MAX_CELLS}"
-        )
+    _check_budget(n_cells, "window cells")
     rng = seeds.replication_rng(rep)
     cells = _cp_sums(law, np.ones(n_cells), rng).reshape(ext_shape)
     out = np.zeros(window)
@@ -159,6 +155,9 @@ def write_sample_csv(sample: GridSample, path) -> None:
 
 
 def read_sample_csv(path) -> GridSample:
+    """Inverse of :func:`write_sample_csv`.  Every row holds d coordinates
+    >= 0 and a value, and the rows enumerate a full box window; any other
+    file raises InvalidInputError."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -169,7 +168,11 @@ def read_sample_csv(path) -> GridSample:
             coords = []
             vals = []
             for row in reader:
+                if len(row) != d + 1:
+                    raise ValueError(f"row {row} does not have {d + 1} fields")
                 coords.append(tuple(int(c) for c in row[:d]))
+                if min(coords[-1]) < 0:
+                    raise ValueError(f"negative coordinate in row {row}")
                 vals.append(float(row[d]))
     except (ValueError, IndexError, StopIteration) as exc:
         raise InvalidInputError(f"malformed sample CSV {path}: {exc}") from exc

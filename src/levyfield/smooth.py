@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import sici
 
-from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
+from .errors import DivergentBoundError, InvalidInputError
 from .grids import (
     Grid1D,
     GridFunction,
@@ -30,7 +30,6 @@ from .grids import (
     symmetric_grid,
     trapezoid_weights,
 )
-from .simulate import _MAX_CELLS
 
 __all__ = [
     "SmoothingKernel",
@@ -161,10 +160,6 @@ class SmoothingKernel:
         rounding rather than up to quadrature error.
         """
         r = max(1, int(math.ceil(self.effective_radius() / spacing)))
-        if 2 * r + 1 > _MAX_CELLS:
-            raise ResourceLimitError(
-                f"kernel grid requires {2 * r + 1} nodes, exceeding the budget of {_MAX_CELLS}"
-            )
         grid = Grid1D(-r * spacing, r * spacing, 2 * r + 1)
         vals = self.density(grid.nodes())
         vals = vals / float(np.sum(trapezoid_weights(grid) * vals))

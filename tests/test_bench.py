@@ -240,9 +240,15 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
 
-    def test_oversized_kernel_grid_exit_code(self, tmp_path):
-        # A = 1e-9 asks for a ~1e12-node kernel grid; refused before allocation
-        cfg_path = self._write_cfg(tmp_path, A=1e-9, reps=1)
+    @pytest.mark.parametrize("over", [
+        {"A": 1e-9},                            # a ~1e12-node kernel grid
+        {"grid_points": 2_000_000_000},         # a 2e9-node x-grid
+        {"method": "onb", "haar_levels": 45},   # 2^46 Haar cells
+        {"method": "onb", "haar_levels": 2000},  # 2048 / 2^2001 underflows a float
+    ], ids=["A", "grid_points", "haar_levels", "haar_levels_2000"])
+    def test_oversized_kernel_grid_exit_code(self, tmp_path, over):
+        # each grid is refused by the grid budget before it is allocated
+        cfg_path = self._write_cfg(tmp_path, reps=1, **over)
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -279,9 +285,12 @@ class TestCli:
     def test_malformed_sample_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         bad = tmp_path / "bad.csv"
-        bad.write_text("j1,j2,value\n0,0,not-a-number\n")
-        assert cli_main(["estimate", "--sample", str(bad), "--config", str(cfg_path),
-                         "--out", str(tmp_path / "e.csv")]) == 3
+        for rows in ("0,0,not-a-number\n",
+                     "0,-1,0.5\n0,1,0.7\n",     # negative coordinate
+                     "0,0,0.5,9\n0,1,0.7\n"):   # extra field
+            bad.write_text("j1,j2,value\n" + rows)
+            assert cli_main(["estimate", "--sample", str(bad), "--config", str(cfg_path),
+                             "--out", str(tmp_path / "e.csv")]) == 3
 
     def test_bench_dump_estimates(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path, reps=2)

@@ -6,7 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyfield.errors import CoverageError, DivergentBoundError, InvalidInputError
-from levyfield.grids import Grid1D, GridFunction, fourier_forward, l2_norm, symmetric_grid, trapezoid_weights
+from levyfield.grids import (
+    Grid1D,
+    GridFunction,
+    _direct_sum,
+    fourier_forward,
+    l2_norm,
+    phase_sum,
+    symmetric_grid,
+    trapezoid_weights,
+)
 from levyfield.model import (
     field_char_fn,
     field_char_fn_deriv,
@@ -68,26 +77,29 @@ class TestComputeEcf:
         assert np.allclose(ecf.theta_hat, np.conj(ecf.theta_hat[::-1]), atol=1e-13)
 
     def test_fast_path_matches_direct_exponentials(self):
-        from levyfield.ecf import _ecf_sums_direct
         rng = np.random.default_rng(2)
         y = rng.normal(size=500)
         grid = symmetric_grid(np.pi, 257)
         ecf = compute_ecf(y, grid)
-        pd, td = _ecf_sums_direct(y, grid.nodes())
+        pd, td = _direct_sum(np.stack([np.ones_like(y), y]), y, grid.nodes(), 1.0) / len(y)
         assert np.max(np.abs(ecf.psi_hat - pd)) < 1e-10
         assert np.max(np.abs(ecf.theta_hat - td)) < 1e-10
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
            scale=st.floats(0.1, 200.0), seed=st.integers(0, 2 ** 32 - 1),
-           u0=st.floats(-5.0, 5.0), du=st.floats(1e-3, 0.05), half=st.integers(15, 300))
-    @example(n_obs=1, kind="tails", scale=200.0, seed=0, u0=0.0, du=np.pi / 2048, half=1024)
-    @example(n_obs=500, kind="zeros", scale=1.0, seed=0, u0=-1.0, du=0.01, half=200)
+           u0=st.floats(-5.0, 5.0), du=st.floats(1e-3, 0.05), half=st.integers(14, 300),
+           sign=st.sampled_from([1.0, -1.0]))
+    @example(n_obs=1, kind="tails", scale=200.0, seed=0, u0=0.0, du=np.pi / 2048, half=1024,
+             sign=1.0)
+    @example(n_obs=500, kind="zeros", scale=1.0, seed=0, u0=-1.0, du=0.01, half=200, sign=-1.0)
     @settings(max_examples=30, deadline=None)
-    def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, u0, du, half):
-        # theta carries the weights Y_j, so both paths round at the scale of
-        # max |Y|; theta is compared at that scale, psi at scale 1
-        from levyfield.ecf import _ecf_sums_direct, _ecf_sums_nufft
+    def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, u0, du, half,
+                                       sign):
+        # the shared sum at 29 or more targets (odd counts for parity 0, even
+        # for 1) over the ECF rows 1 and Y and a complex row, each over N.
+        # The Y row rounds at the scale of max |Y| in both paths, so it is
+        # compared at that scale, the other two at scale 1
         rng = np.random.default_rng(seed)
         if kind == "zeros":
             y = np.zeros(n_obs)
@@ -96,11 +108,14 @@ class TestComputeEcf:
         else:
             y = np.clip(rng.laplace(scale=scale, size=n_obs), -1e3, 1e3)
             y[0] = 1e3
-        u = u0 + du * np.arange(2 * half + parity)
-        psi, theta = _ecf_sums_nufft(y, u)
-        pd, td = _ecf_sums_direct(y, u)
-        assert np.max(np.abs(psi - pd)) <= 1e-10
-        assert np.max(np.abs(theta - td)) <= 1e-10 * max(1.0, np.max(np.abs(y)))
+        z = (rng.normal(size=n_obs) + 1j * rng.normal(size=n_obs)) / np.sqrt(2)
+        rows = np.stack([np.ones_like(y), y, z]) / n_obs
+        u = u0 + du * np.arange(2 * half + 1 + parity)
+        fast = phase_sum(rows, y, u, sign)
+        ref = _direct_sum(rows, y, u, sign)
+        err = np.max(np.abs(fast - ref), axis=1)
+        assert err[0] <= 1e-10 and err[2] <= 1e-10
+        assert err[1] <= 1e-10 * max(1.0, np.max(np.abs(y)))
 
 
 class TestStabilize:
