@@ -11,11 +11,18 @@ Cells are materialised once per replication over the Minkowski-extended
 window and consumed in row-major order, which makes every draw a pure
 function of (master_seed, replication), independent of any parallelism in
 the caller.
+
+A sample travels as a CSV with header j1,...,jd,value and one row per
+lattice point.  The writer joins each block of rows into one string; the
+reader parses with np.loadtxt and checks the box with index arithmetic, so
+neither loops over rows in Python.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,45 +152,61 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
 
 
 def write_sample_csv(sample: GridSample, path) -> None:
-    """CSV with header j1,...,jd,value; one row per lattice point, row-major."""
-    d = sample.d
+    """CSV with header j1,...,jd,value; one row per lattice point, row-major.
+
+    The bytes are those of ``csv.writer`` writing the coordinates and
+    ``repr`` of each value: no field needs quoting, and lines end in
+    "\\r\\n".  One block of rows is written per leading coordinate.
+    """
+    shape = sample.window
+    header = [f"j{i + 1}" for i in range(sample.d)] + ["value"]
+    # the fields "j2,...,jd," of the rows of one block, in row-major order
+    tails = ["".join(f"{i}," for i in idx) for idx in itertools.product(*map(range, shape[1:]))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"j{i + 1}" for i in range(d)] + ["value"])
-        for idx, val in zip(np.ndindex(*sample.window), sample.flat()):
-            writer.writerow([*idx, repr(float(val))])
+        fh.write(",".join(header) + "\r\n")
+        for lead, block in enumerate(sample.values.reshape(shape[0], -1)):
+            fh.write("".join(f"{lead},{t}{v!r}\r\n" for t, v in zip(tails, block.tolist())))
+
+
+def _data_lines(fh):
+    """The remaining lines of fh, refusing a blank one, which np.loadtxt
+    would skip, and an empty remainder, on which it would only warn."""
+    n = 0
+    for n, line in enumerate(fh, 1):
+        if line == "\n":  # universal newlines end every line in "\n"
+            raise ValueError(f"blank line {n} after the header")
+        yield line
+    if n == 0:
+        raise ValueError("no observations")
 
 
 def read_sample_csv(path) -> GridSample:
-    """Inverse of :func:`write_sample_csv`.  Every row holds d coordinates
-    >= 0 and a value, and the rows enumerate a full box window; any other
+    """Inverse of :func:`write_sample_csv`.  Every row holds d integer
+    coordinates >= 0 and a finite value, fields may be quoted, no line is
+    blank, and the rows enumerate a full box window in any order; any other
     file raises InvalidInputError."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        with open(path) as fh:
+            header = next(csv.reader(fh))
             d = len(header) - 1
             if d < 1 or header[-1] != "value":
                 raise ValueError(f"unexpected header {header}")
-            coords = []
-            vals = []
-            for row in reader:
-                if len(row) != d + 1:
-                    raise ValueError(f"row {row} does not have {d + 1} fields")
-                coords.append(tuple(int(c) for c in row[:d]))
-                if min(coords[-1]) < 0:
-                    raise ValueError(f"negative coordinate in row {row}")
-                vals.append(float(row[d]))
-    except (ValueError, IndexError, StopIteration) as exc:
+            dtype = [(f"j{i + 1}", np.int64) for i in range(d)] + [("value", float)]
+            rows = np.loadtxt(_data_lines(fh), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except (ValueError, StopIteration, csv.Error) as exc:
         raise InvalidInputError(f"malformed sample CSV {path}: {exc}") from exc
-    if not coords:
-        raise InvalidInputError(f"sample CSV {path} contains no observations")
-    shape = tuple(max(c[i] for c in coords) + 1 for i in range(d))
-    if len(coords) != int(np.prod(shape)) or len(set(coords)) != len(coords):
+    coords = np.stack([rows[f"j{i + 1}"] for i in range(d)])
+    if coords.min() < 0:
+        raise InvalidInputError(f"sample CSV {path} has a negative coordinate")
+    shape = tuple(int(c) + 1 for c in coords.max(axis=1))
+    if len(rows) != math.prod(shape):
         raise InvalidInputError(
             f"sample CSV {path} does not enumerate a full {shape} window"
         )
-    arr = np.zeros(shape)
-    for c, v in zip(coords, vals):
-        arr[c] = v
-    return GridSample(arr)
+    flat = np.ravel_multi_index(coords, shape)
+    if np.any(np.bincount(flat, minlength=len(rows)) != 1):
+        raise InvalidInputError(f"sample CSV {path} repeats a lattice point")
+    arr = np.empty(len(rows))
+    arr[flat] = rows["value"]
+    return GridSample(arr.reshape(shape))

@@ -9,17 +9,24 @@ of the bandwidth, and they satisfy the small-bias inequality
 with a kernel constant c1 (2 for the Gaussian, max{1, L} for band-limited
 kernels with an L-Lipschitz transform).  The band-limited representative
 is the Fejer kernel, whose transform is the unit triangle.
+
+Smoothing samples a kernel only at the taps the convolution reads, but
+normalises those taps by the trapezoid mass over the kernel's whole
+effective radius.  For the Fejer kernel that mass has a closed form
+(:func:`_fejer_mass`); the other kernels, and the Fejer kernel on a grid
+coarser than pi b, sum it over the full-radius grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import sici
+from scipy.special import polygamma, sici
 
 from .errors import DivergentBoundError, InvalidInputError
 from .grids import (
@@ -152,23 +159,65 @@ class SmoothingKernel:
         # Fejer tails decay like 1/(pi x^2 / b); this radius keeps ~1e-4 mass out
         return 6e3 * self.b
 
-    def grid_function(self, spacing: float) -> GridFunction:
-        """Kernel sampled on a lattice-aligned symmetric grid.
+    def grid_function(self, spacing: float, reach: int) -> GridFunction:
+        """Kernel taps at the nodes k * spacing, |k| <= reach, of the
+        symmetric lattice grid over the effective radius r * spacing.
 
-        The samples are renormalised to unit discrete mass so that
-        convolution preserves the integral of the smoothed function up to
-        rounding rather than up to quadrature error.
+        The taps are divided by the trapezoid mass of the kernel over all
+        2r + 1 nodes, so that they equal the same taps of the full-radius
+        kernel renormalised to unit discrete mass.
         """
         r = max(1, int(math.ceil(self.effective_radius() / spacing)))
-        grid = Grid1D(-r * spacing, r * spacing, 2 * r + 1)
-        vals = self.density(grid.nodes())
-        vals = vals / float(np.sum(trapezoid_weights(grid) * vals))
-        return GridFunction(grid, vals)
+        m = min(r, reach)
+        if self.family == "bandlimited" and spacing <= math.pi * self.b:
+            # np.linspace(-r dx, r dx, 2r + 1)'s arithmetic, at |k| <= m only
+            lo = -r * spacing
+            step = (r * spacing - lo) / (2 * r)
+            taps = self.density((np.arange(-m, m + 1) + float(r)) * step + lo)
+            mass = _fejer_mass(self.b, spacing, r)
+        else:
+            grid = Grid1D(-r * spacing, r * spacing, 2 * r + 1)
+            full = self.density(grid.nodes())
+            mass = float(np.sum(trapezoid_weights(grid) * full))
+            taps = full[r - m:r + m + 1]
+        return GridFunction(Grid1D(-m * spacing, m * spacing, 2 * m + 1), taps / mass)
+
+
+def _fejer_mass(b: float, spacing: float, r: int) -> float:
+    """Trapezoid mass dx * sum_{|k| <= r} K_b(k dx), end nodes halved, of the
+    Fejer density K_b(x) = (b / pi) (1 - cos(x / b)) / x^2, for dx <= pi b.
+
+    F[K_b] vanishes beyond 1/b, so by Poisson summation the mass of the
+    whole lattice, dx * sum_k K_b(k dx), is exactly 1.  With theta = dx / b
+    the trapezoid mass is therefore
+
+        1 - (2b / (pi dx)) [(1 - cos r theta) / (2 r^2)
+                            + psi_1(r + 1) - Re sum_{k > r} e^{ik theta} / k^2].
+
+    Summation by parts, applied three times, gives the oscillating tail.
+    Each round is smaller by about 3 / (r |e^{i theta} - 1|), below 1e-3
+    since r theta >= 6000 at the effective radius and theta <= pi.
+    """
+    theta = spacing / b
+    n = r + 1.0
+    q = 1.0 / n
+    z = cmath.exp(1j * theta)
+    w = z / (z - 1)
+    # 1/k^2 and its first two backward differences, at k = n, n + 1, n + 2,
+    # in powers of q = 1/n so that no intermediate overflows
+    d0 = q * q
+    d1 = q ** 3 * (2 + q) / (1 + q) ** 2
+    d2 = q ** 4 * (6 + 12 * q + 4 * q * q) / ((1 + q) * (1 + 2 * q)) ** 2
+    tail = -cmath.exp(1j * n * theta) / (z - 1) * (d0 + w * (d1 + w * d2))
+    outside = (1 - math.cos(r * theta)) / (2.0 * r * r) + float(polygamma(1, n)) - tail.real
+    return 1.0 - 2 * b / (math.pi * spacing) * outside
 
 
 def smooth(est: GridFunction, kern: SmoothingKernel) -> GridFunction:
-    """Convolution smoothing est * K_b on est's grid."""
-    return convolve(est, kern.grid_function(est.grid.spacing))
+    """Convolution smoothing est * K_b on est's grid.  On an n-node grid
+    the convolution reads the kernel only at |k| <= n - 1 nodes, so only
+    those taps are sampled."""
+    return convolve(est, kern.grid_function(est.grid.spacing, est.grid.n - 1))
 
 
 def a_delta(b: float, delta: float, c1: float) -> float:

@@ -285,10 +285,19 @@ class TestCli:
     def test_malformed_sample_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         bad = tmp_path / "bad.csv"
-        for rows in ("0,0,not-a-number\n",
-                     "0,-1,0.5\n0,1,0.7\n",     # negative coordinate
-                     "0,0,0.5,9\n0,1,0.7\n"):   # extra field
-            bad.write_text("j1,j2,value\n" + rows)
+        header = "j1,j2,value\n"
+        for text in (header + "0,0,not-a-number\n",
+                     header + "0,-1,0.5\n0,1,0.7\n",     # negative coordinate
+                     header + "0,0,0.5,9\n0,1,0.7\n",    # extra field
+                     "j1,j2,val\n0,0,0.5\n",             # wrong header
+                     header,                              # a header and no rows
+                     "",                                  # empty file
+                     header + "0,1.5,0.2\n",              # non-integer coordinate
+                     header + "0,0,0.5\n0,1,0.7\n1,0,0.1\n0,1,0.7\n",  # duplicate row
+                     header + "0,0,0.5\n1,1,0.7\n",       # incomplete box
+                     header + "0,0,0.5\n\n0,1,0.7\n",     # blank line between rows
+                     header + "0,0,0.5 x\n0,1,0.7\n"):    # text after the value
+            bad.write_text(text)
             assert cli_main(["estimate", "--sample", str(bad), "--config", str(cfg_path),
                              "--out", str(tmp_path / "e.csv")]) == 3
 

@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfield.errors import InvalidInputError, ResourceLimitError
 from levyfield.grids import symmetric_grid
@@ -142,3 +148,41 @@ class TestSampleCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "j1,j2,value"
         assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
+
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_csv_writer_and_round_trip(self, shape, data):
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+                          st.integers(-10 ** 9, 10 ** 9).map(float))
+        n = int(np.prod(shape))
+        vals = np.array(data.draw(st.lists(value, min_size=n, max_size=n))).reshape(shape)
+        s = GridSample(vals)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "s.csv", Path(tmp) / "ref.csv"
+            write_sample_csv(s, path)
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"j{i + 1}" for i in range(len(shape))] + ["value"])
+                for idx, v in zip(np.ndindex(*shape), vals.reshape(-1)):
+                    writer.writerow([*idx, repr(float(v))])
+            assert path.read_bytes() == ref.read_bytes()
+            back = read_sample_csv(path)
+        assert back.window == tuple(shape)
+        assert np.array_equal(back.values, vals)
+        assert np.array_equal(np.signbit(back.values), np.signbit(vals))
+
+    def test_header_field_beyond_the_csv_limit_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("j1," + "x" * (csv.field_size_limit() + 1) + ",value\n0,0,0.5\n")
+        with pytest.raises(InvalidInputError):
+            read_sample_csv(path)
+
+    def test_fully_quoted_file_loads(self, tmp_path):
+        path = tmp_path / "q.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(["j1", "j2", "value"])
+            for idx, v in zip(np.ndindex(2, 3), np.arange(6.0) - 2.5):
+                writer.writerow([*idx, repr(float(v))])
+        assert np.array_equal(read_sample_csv(path).values, np.arange(6.0).reshape(2, 3) - 2.5)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from levyfield.errors import DivergentBoundError, InvalidInputError
 from levyfield.grids import (
+    Grid1D,
     GridFunction,
+    convolve,
     fourier_forward,
     l2_norm,
     symmetric_grid,
@@ -20,6 +25,7 @@ from levyfield.smooth import (
     smooth,
     sobolev_norm,
 )
+from levyfield.smooth import _fejer_mass
 
 
 def g0_gauss(x):
@@ -76,7 +82,73 @@ class TestSmoothingKernel:
             SmoothingKernel("gaussian", 0.0)
 
 
+def full_radius_kernel(kern, dx):
+    """The kernel over all 2r + 1 nodes of its effective radius r dx,
+    normalised by its trapezoid mass over them."""
+    r = max(1, math.ceil(kern.effective_radius() / dx))
+    grid = Grid1D(-r * dx, r * dx, 2 * r + 1)
+    vals = kern.density(grid.nodes())
+    return GridFunction(grid, vals / float(np.sum(trapezoid_weights(grid) * vals)))
+
+
+# spacing of the default x-grid, 2048 nodes on [-6, 6]
+DX = 12.0 / 2047
+
+
+class TestFejerMass:
+    @pytest.mark.parametrize("b", [0.5, 0.7, 1.0, 1.1, 0.05, 3.0])
+    def test_closed_form_matches_full_trapezoid_sum(self, b):
+        kern = SmoothingKernel("bandlimited", b)
+        r = math.ceil(kern.effective_radius() / DX)
+        # dx * sum_{|k| <= r} K_b(k dx), end nodes halved, in blocks of 2^20
+        total = 0.0
+        for k0 in range(-r, r + 1, 1 << 20):
+            total += float(np.sum(kern.density(np.arange(k0, min(k0 + (1 << 20), r + 1)) * DX)))
+        full = DX * (total - float(kern.density(r * DX)))
+        assert _fejer_mass(b, DX, r) == pytest.approx(full, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("b,dx", [(1.0, 1e-6), (0.5, 1e-9)])
+    def test_radius_beyond_the_grid_budget(self, b, dx):
+        # no grid of 2r + 1 > 5e7 nodes could be built; on so fine a lattice
+        # the trapezoid mass is the integral (2/pi) [Si(t) - (1 - cos t) / t]
+        kern = SmoothingKernel("bandlimited", b)
+        r = math.ceil(kern.effective_radius() / dx)
+        t = r * dx / b
+        integral = 2 / np.pi * (sici(t)[0] - (1 - np.cos(t)) / t)
+        assert _fejer_mass(b, dx, r) == pytest.approx(integral, rel=1e-14, abs=0)
+        assert kern.grid_function(dx, 1000).grid.n == 2001
+
+    def test_coarse_grid_takes_the_reference_path(self):
+        # beyond dx = pi b the kernel is normalised by the full trapezoid sum
+        kern = SmoothingKernel("bandlimited", 1.0)
+        dx = 0.99 * 2 * np.pi * kern.b
+        full = full_radius_kernel(kern, dx)
+        r = (full.grid.n - 1) // 2
+        taps = kern.grid_function(dx, 100)
+        assert taps.grid.n == 201
+        assert np.array_equal(taps.values, full.values[r - 100:r + 101])
+
+
 class TestSmooth:
+    @pytest.mark.parametrize("family,b,A", [
+        ("gaussian", 0.5, 6.0), ("gaussian", 3.0, 1.0), ("epanechnikov", 0.5, 6.0),
+        ("epanechnikov", 3.0, 1.0), ("bandlimited", 0.05, 6.0), ("bandlimited", 0.5, 6.0),
+        ("bandlimited", 0.7, 6.0), ("bandlimited", 1.0, 6.0), ("bandlimited", 1.1, 6.0),
+    ])
+    def test_matches_full_radius_kernel(self, family, b, A):
+        # only the taps the convolution reads are sampled; the Gaussian with
+        # b = 3 on A = 1 reaches past the x-grid's span
+        grid = symmetric_grid(A, 2048)
+        x = grid.nodes()
+        est = GridFunction(grid, g0_exp(x) + 0.01 * np.sin(17 * x))
+        kern = SmoothingKernel(family, b)
+        got = smooth(est, kern).values
+        ref = convolve(est, full_radius_kernel(kern, grid.spacing)).values
+        if family == "bandlimited":
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(got, ref)
+
     def test_zero_input(self):
         g = symmetric_grid(4.0, 513)
         out = smooth(GridFunction(g, np.zeros(513)), SmoothingKernel("epanechnikov", 0.5))
