@@ -350,13 +350,12 @@ def validate_fixed_point() -> dict:
             "e": e, "rel_err": rel_err, "residual": resid, "tol": tol}
 
 
-def validate_onb(A: float = 6.0, levels: int = 2, m: int = 7) -> dict:
+def validate_onb() -> dict:
     """Structural suite for the orthonormal-basis machinery with the
-    benchmark kernel."""
-    kernel = SimpleKernel(coeffs=np.array([1.3, 0.2, 0.1, 0.1]),
-                          offsets=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
-    h = WeightH(beta=1.0, signed=True)
-    basis = onb_mod.HaarBasis(A, levels, m)
+    benchmark kernel, weight and Haar basis of the default config."""
+    cfg = ExperimentConfig()
+    kernel, h, m = cfg.kernel_obj(), cfg.weight_obj(), cfg.m
+    basis = onb_mod.HaarBasis(cfg.A, cfg.haar_levels, m)
     system = onb_mod.build_eta(basis, kernel, h)
     dx = basis.dx
     E = system.e_values

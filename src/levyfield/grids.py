@@ -71,6 +71,8 @@ class Grid1D:
         if self.n < 2:
             raise InvalidInputError(f"grid needs n >= 2 nodes, got {self.n}")
         _check_budget(self.n, "grid nodes")
+        if not np.finfo(float).tiny <= self.spacing < np.inf:
+            raise InvalidInputError(f"grid spacing {self.spacing} is not a finite normal float")
 
     @property
     def spacing(self) -> float:
@@ -255,35 +257,19 @@ def inverse_transform_at(F: GridFunction, points: np.ndarray) -> np.ndarray:
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(x) = sum_y f(y) g(x - y) spacing, evaluated on f's grid.
 
-    The grids must share their spacing.  When g's origin is off f's
-    lattice the result is linearly interpolated between neighbouring
-    lattice shifts.
+    g's nodes must lie on f's lattice: equal spacings, and g.lo a whole
+    number of spacings (within 1e-9).  Output i is then exactly lag
+    i - g.lo / spacing of the full discrete convolution, zero beyond its
+    ends.
     """
     dx = f.grid.spacing
-    if abs(g.grid.spacing - dx) > 1e-9 * dx:
-        raise GridMismatchError(
-            f"convolution needs equal spacings, got {dx} vs {g.grid.spacing}"
-        )
-    # lag k of the full convolution approximates (f*g) at f.lo + g.lo + k dx;
-    # output i reads lags base_i and base_i + 1.
     shift = g.grid.lo / dx
-    idx = np.arange(f.grid.n) - shift
-    base = np.floor(idx).astype(int)
-    frac = idx - base
-    if np.max(np.abs(frac)) < 1e-9 or np.max(np.abs(frac - 1)) < 1e-9:
-        base = np.rint(idx).astype(int)
-        frac = np.zeros_like(idx)
-    # Lag k sums f[i] g[k - i], so lags k0..k1 need only the taps
-    # k0 - (n_f - 1) .. k1; part[k - j0] is lag k for every k0 <= k <= k1.
-    n_full = f.grid.n + g.grid.n - 1
-    k0, k1 = max(base[0], 0), min(base[-1] + 1, n_full - 1)
-    j0 = min(max(k0 - f.grid.n + 1, 0), g.grid.n - 1)
-    j1 = max(min(k1, g.grid.n - 1), j0)
-    part = np.convolve(f.values, g.values[j0:j1 + 1]) * dx
-
-    def lag(k):
-        valid = (k >= 0) & (k < n_full)
-        return np.where(valid, part[np.clip(k - j0, 0, len(part) - 1)], 0.0)
-
-    vals = lag(base) * (1 - frac) + lag(base + 1) * frac
-    return GridFunction(f.grid, vals)
+    if abs(g.grid.spacing - dx) > 1e-9 * dx or abs(shift - np.rint(shift)) > 1e-9:
+        raise GridMismatchError(
+            f"convolution needs g on f's lattice, got spacings {dx} vs "
+            f"{g.grid.spacing} and g.lo = {shift} spacings"
+        )
+    full = np.convolve(f.values, g.values) * dx
+    lag = np.arange(f.grid.n) - int(np.rint(shift))
+    valid = (lag >= 0) & (lag < len(full))
+    return GridFunction(f.grid, np.where(valid, full[np.clip(lag, 0, len(full) - 1)], 0.0))

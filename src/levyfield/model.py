@@ -12,6 +12,12 @@ with U(u) = u (a0 + integral x [1_{[-1,1]}(ux) - 1_{[-1,1]}(x)] v0(x) dx).
 The algebraic recovery of (a0, b0) from (a1, b1) inverts the first two
 relations; it is singular when sum_k f_k vol_k = 0.
 
+:func:`forward_g_transform` is the one forward scaling operator: v1 is its
+image with h = 1, the ONB system pushes the Haar basis through it, and
+F[g1] (:func:`fourier_g1_model`) is its closed-form transform, of which
+theta = psi F[g1].  Every integral against v0 goes through
+``JumpLaw._integral``.
+
 Jump laws have closed-form characteristic functions, except tabulated ones,
 whose trapezoid sums go through :func:`grids.phase_sum`.
 """
@@ -180,23 +186,31 @@ class JumpLaw:
         """integral_a^b x v0(x) dx (with the unnormalised density)."""
         if a >= b:
             return 0.0
-        lo, hi = self.support_bounds()
         if self.kind == "tabulated":
             g = self.density_.grid
             if a < g.lo - 1e-9 or b > g.hi + 1e-9:
                 raise CoverageError(
                     f"tabulated density on [{g.lo}, {g.hi}] does not cover [{a}, {b}]"
                 )
+        return self._integral(lambda x: x, a, b)
+
+    def _integral(self, fn, a: float, b: float) -> float:
+        """integral fn(x) v0(x) dx over [a, b] intersected with the support.
+
+        ``fn`` is vectorised.  Tables take a dense trapezoid rule, because
+        adaptive quadrature converges poorly on their piecewise-linear
+        interpolant; closed-form densities take ``quad``.
+        """
+        lo, hi = self.support_bounds()
         a, b = max(a, lo), min(b, hi)
         if a >= b:
             return 0.0
         if self.kind == "tabulated":
-            # dense trapezoid over the (piecewise-linear) table; adaptive
-            # quadrature converges poorly on interpolants
             step = self.density_.grid.spacing / 4
             xs = np.linspace(a, b, max(9, int(np.ceil((b - a) / step)) + 1))
-            return float(np.trapezoid(xs * self.pdf(xs), xs))
-        val, _ = integrate.quad(lambda x: x * float(self.pdf(x)), a, b, limit=200)
+            return float(np.trapezoid(fn(xs) * self.pdf(xs), xs))
+        val, _ = integrate.quad(lambda x: float(fn(np.array([x]))[0]) * float(self.pdf(x)),
+                                a, b, limit=200)
         return val
 
 
@@ -395,13 +409,6 @@ def u_function(u: float, a0: float, v0: JumpLaw | None) -> float:
     if v0 is None:
         return u * a0
     c = 1.0 / abs(u)
-    if v0.kind == "tabulated":
-        need = max(1.0, c)
-        g = v0.density_.grid
-        if g.lo > -need + 1e-9 or g.hi < need - 1e-9:
-            raise CoverageError(
-                f"tabulated density on [{g.lo}, {g.hi}] does not cover [-{need}, {need}]"
-            )
     if c > 1:
         corr = v0.partial_first_moment(1.0, c) + v0.partial_first_moment(-c, -1.0)
     elif c < 1:
@@ -427,18 +434,11 @@ def forward_gaussian(kernel: SimpleKernel, b0: float) -> float:
 def forward_levy_density(kernel: SimpleKernel, v0):
     """Pointwise evaluator of v1(x) = sum_k (vol_k / |f_k|) v0(x / f_k).
 
-    ``v0`` may be a JumpLaw or any vectorised callable.
+    ``v0`` may be a JumpLaw or any vectorised callable.  This is the
+    forward operator with the weight h = 1.
     """
     pdf = v0.pdf if isinstance(v0, JumpLaw) else v0
-
-    def v1(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for fk, vk in zip(kernel.coeffs, kernel.volumes):
-            out = out + (vk / abs(fk)) * np.asarray(pdf(x / fk))
-        return out
-
-    return v1
+    return forward_g_transform(pdf, kernel, WeightH(beta=0.0))
 
 
 def forward_g_transform(g0_eval, kernel: SimpleKernel, h: WeightH):
@@ -476,9 +476,7 @@ def recover_a0_b0(kernel: SimpleKernel, a1: float, b1: float,
         raise SingularRecoveryError(
             "sum f_k vol_k = 0: drift not identifiable from a1 by this route"
         )
-    known = sum(u_function(fk, 0.0, v0) * vk
-                for fk, vk in zip(kernel.coeffs, kernel.volumes))
-    a0 = (a1 - known) / s1
+    a0 = (a1 - forward_drift(kernel, 0.0, v0)) / s1
     return float(a0), float(b0)
 
 
@@ -493,31 +491,14 @@ def cumulant(triplet: LevyTriplet, t: float) -> complex:
     if v is None or t == 0:
         return out
     lo, hi = v.support_bounds()
-
-    def quad_piece(fn, a, b):
-        if a >= b:
-            return 0.0
-        if v.kind == "tabulated":
-            step = v.density_.grid.spacing / 4
-            xs = np.linspace(a, b, max(9, int(np.ceil((b - a) / step)) + 1))
-            return float(np.trapezoid(fn(xs) * v.pdf(xs), xs))
-        val, _ = integrate.quad(lambda x: float(fn(np.array([x]))[0]) * float(v.pdf(x)),
-                                a, b, limit=200)
-        return val
-
     re = 0.0
     im = 0.0
-    pieces = [(lo, -1.0), (-1.0, 1.0), (1.0, hi)]
-    for a, b in pieces:
-        a_, b_ = max(a, lo), min(b, hi)
-        if a_ >= b_:
-            continue
-        re += quad_piece(lambda x: np.cos(t * x) - 1.0, a_, b_)
-        inside = a >= -1.0 and b <= 1.0
-        if inside:
-            im += quad_piece(lambda x: np.sin(t * x) - t * x, a_, b_)
+    for a, b in ((lo, -1.0), (-1.0, 1.0), (1.0, hi)):
+        re += v._integral(lambda x: np.cos(t * x) - 1.0, a, b)
+        if a == -1.0 and b == 1.0:
+            im += v._integral(lambda x: np.sin(t * x) - t * x, a, b)
         else:
-            im += quad_piece(lambda x: np.sin(t * x), a_, b_)
+            im += v._integral(lambda x: np.sin(t * x), a, b)
     return out + re + 1j * im
 
 
@@ -538,17 +519,13 @@ def field_char_fn(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
 
 
 def field_char_fn_deriv(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
-    """psi'(u) = psi(u) sum_k vol_k mass f_k phi_J'(u f_k)."""
-    u = np.asarray(u, dtype=float)
-    inner = np.zeros(u.shape, dtype=complex)
-    for fk, vk in zip(kernel.coeffs, kernel.volumes):
-        inner += vk * law.mass * fk * law.char_fn_deriv(u * fk)
-    return field_char_fn(kernel, law, u) * inner
+    """psi'(u) = i theta(u)."""
+    return 1j * field_theta(kernel, law, u)
 
 
 def field_theta(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
-    """theta(u) = E[Y0 e^{iuY0}] = -i psi'(u)."""
-    return -1j * field_char_fn_deriv(kernel, law, u)
+    """theta(u) = E[Y0 e^{iuY0}] = -i psi'(u) = psi(u) F[g1](u)."""
+    return field_char_fn(kernel, law, u) * fourier_g1_model(kernel, law, u)
 
 
 def field_moments(kernel: SimpleKernel, law: JumpLaw) -> dict:

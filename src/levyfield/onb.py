@@ -2,7 +2,9 @@
 outside [-A, A].
 
 The Haar system on [-A, A] (scaling function first, then wavelets ordered
-by level and shift) is pushed through the forward scaling operator,
+by level and shift) is pushed through the forward scaling operator
+:func:`model.forward_g_transform` and then scaled by the pivot f1 like
+the data function g1bar(x) = (h(x)/h(f1 x)) g1(f1 x), which gives
 
     eta_j(x) = sum_k (1/|f_k|) (h(x)/h((f1/f_k) x)) psi_j((f1/f_k) x),
 
@@ -32,7 +34,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grids import Grid1D, GridFunction, _check_budget
-from .model import SimpleKernel, WeightH, e_factor
+from .model import SimpleKernel, WeightH, e_factor, forward_g_transform
 
 __all__ = [
     "HaarBasis",
@@ -75,6 +77,8 @@ class HaarBasis:
                 f"m must lie in [1, {block}] for {self.levels} wavelet levels"
             )
         object.__setattr__(self, "n_cells", cells)
+        if not np.finfo(float).tiny <= self.dx < np.inf:
+            raise InvalidInputError(f"Haar cell width {self.dx} is not a finite normal float")
 
     @property
     def dx(self) -> float:
@@ -143,12 +147,15 @@ class EtaSystem:
 def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     """Construct the eta system and orthonormalise it.
 
-    Preconditions: the pivot has maximal absolute value among the
-    coefficients and the contraction factor satisfies e(f, h) < 1.
+    Preconditions: the cells have unit volume, the pivot has maximal
+    absolute value among the coefficients and the contraction factor
+    satisfies e(f, h) < 1.
     Gram-Schmidt is the QR factorisation of the sqrt(dx)-scaled samples,
     signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
     norm raises a degeneracy error.
     """
+    if not np.allclose(kernel.volumes, 1.0):
+        raise InvalidInputError("the eta system assumes unit cell volumes")
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):
@@ -159,12 +166,12 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     e = e_factor(kernel, h, pivot)
     if e >= 1.0:
         raise PreconditionError(f"contraction factor e = {e:.6g} >= 1")
-    mid = basis.midpoints()
-    eta = np.zeros((basis.m, basis.n_cells))
-    for j in range(basis.m):
-        for fk in kernel.coeffs:
-            c = pivot / fk
-            eta[j] += (1.0 / abs(fk)) * h.ratio(c) * basis.evaluate(j, c * mid)
+
+    def psi(x):
+        # the (m, n) basis samples; the forward operator maps each row
+        return np.stack([basis.evaluate(j, x) for j in range(basis.m)])
+
+    eta = _g1bar(forward_g_transform(psi, kernel, h), pivot, h, basis.midpoints())
     samples = np.sqrt(basis.dx) * eta.T
     q, mix = np.linalg.qr(samples)
     small = np.abs(np.diag(mix)) < 1e-8 * np.linalg.norm(samples, axis=0)
@@ -178,12 +185,15 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
                      mix=sign * mix)
 
 
+def _g1bar(g1_eval, pivot: float, h: WeightH, x: np.ndarray) -> np.ndarray:
+    """The scaled data function g1bar(x) = (h(x)/h(f1 x)) g1(f1 x)."""
+    return h.ratio(pivot) * np.asarray(g1_eval(pivot * x), dtype=float)
+
+
 def project_g1bar(g1_eval, system: EtaSystem) -> np.ndarray:
     """Coefficients y_j = <g1bar, e_j> of the scaled data function
     g1bar(x) = (h(x)/h(f1 x)) g1(f1 x) against the orthonormal family."""
-    pivot = system.pivot_value
-    mid = system.basis.midpoints()
-    g1bar = system.h.ratio(pivot) * np.asarray(g1_eval(pivot * mid), dtype=float)
+    g1bar = _g1bar(g1_eval, system.pivot_value, system.h, system.basis.midpoints())
     return np.array([system.ip(g1bar, e_row) for e_row in system.e_values])
 
 

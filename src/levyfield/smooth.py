@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import polygamma, sici
 
-from .errors import DivergentBoundError, InvalidInputError
+from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
 from .grids import (
     Grid1D,
     GridFunction,
@@ -167,7 +167,10 @@ class SmoothingKernel:
         2r + 1 nodes, so that they equal the same taps of the full-radius
         kernel renormalised to unit discrete mass.
         """
-        r = max(1, int(math.ceil(self.effective_radius() / spacing)))
+        radius_nodes = self.effective_radius() / spacing
+        if not math.isfinite(radius_nodes):
+            raise ResourceLimitError(f"a kernel radius of {radius_nodes} nodes exceeds the budget")
+        r = max(1, int(math.ceil(radius_nodes)))
         m = min(r, reach)
         if self.family == "bandlimited" and spacing <= math.pi * self.b:
             # np.linspace(-r dx, r dx, 2r + 1)'s arithmetic, at |k| <= m only

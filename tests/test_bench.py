@@ -1,4 +1,8 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,10 +249,26 @@ class TestCli:
         {"grid_points": 2_000_000_000},         # a 2e9-node x-grid
         {"method": "onb", "haar_levels": 45},   # 2^46 Haar cells
         {"method": "onb", "haar_levels": 2000},  # 2048 / 2^2001 underflows a float
-    ], ids=["A", "grid_points", "haar_levels", "haar_levels_2000"])
+        {"A": 1e-310},                          # a subnormal x-grid spacing
+        {"method": "onb", "A": 1e-310},
+        {"method": "onb", "A": 1e308},          # an infinite x-grid spacing
+        {"bandwidth": 1e308},                   # an infinite kernel radius
+        {"bandwidth": 1e308, "smooth_family": "bandlimited"},
+    ], ids=["A", "grid_points", "haar_levels", "haar_levels_2000", "A=1e-310-fourier",
+            "A=1e-310-onb", "A=1e308-onb", "bandwidth=1e308-epanechnikov",
+            "bandwidth=1e308-bandlimited"])
     def test_oversized_kernel_grid_exit_code(self, tmp_path, over):
-        # each grid is refused by the grid budget before it is allocated
+        # each grid is refused before it is allocated: by the grid budget, or
+        # because its spacing or its node count is not a normal float
         cfg_path = self._write_cfg(tmp_path, reps=1, **over)
+        assert cli_main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r.csv")]) == 3
+
+    def test_onb_non_unit_volumes_exit_code(self, tmp_path):
+        # the oracle skips the simulation, which refuses such cells itself
+        kernel = dict(ExperimentConfig().kernel, volumes=[2.0, 1.0, 1.0, 1.0])
+        cfg_path = self._write_cfg(tmp_path, method="onb", oracle_g1=True, reps=1,
+                                   kernel=kernel)
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -316,3 +336,21 @@ class TestCli:
                         reps=1)
         out = run_pipeline(cfg, rep=0)
         assert np.isfinite(out.mse) and out.mse < 1.0
+
+
+def test_reproduce_benchmark_script(tmp_path):
+    # the script's six results CSVs carry the MSEs of run_bench on the same cells
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_benchmark.py"),
+                           "--reps", "2", "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == 6
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 6
+    for law in ("gaussian", "exponential"):
+        for method in ("fourier", "plugin", "onb"):
+            with open(tmp_path / f"{law}_{method}.csv", newline="") as fh:
+                mses = [float(row["mse"]) for row in csv.DictReader(fh)]
+            result, _ = run_bench(section7_config(law, method, reps=2))
+            assert mses == result.mses.tolist()

@@ -29,7 +29,8 @@ class TestGrid1D:
         assert np.allclose(np.diff(x), g.spacing)
         assert x[0] == -2.0 and x[-1] == 3.0
 
-    @pytest.mark.parametrize("lo,hi,n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1)])
+    @pytest.mark.parametrize("lo,hi,n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1),
+                                         (-1e-310, 1e-310, 5), (-1e308, 1e308, 5)])
     def test_invalid(self, lo, hi, n):
         with pytest.raises(InvalidInputError):
             Grid1D(lo, hi, n)
@@ -205,12 +206,10 @@ class TestConvolve:
     @pytest.mark.parametrize("n_taps,origin", [
         (2001, -1000.0),   # centred kernel longer than f
         (41, -20.0),       # centred kernel shorter than f
-        (2001, -1000.37),  # off-lattice origin
-        (1500, -60.25),    # off-lattice, one-sided kernel longer than f
     ])
     def test_matches_full_convolution(self, n_taps, origin):
-        # reference: every lag of the full convolution, then the same linear
-        # interpolation at f's nodes (zero beyond the last lag on each side)
+        # reference: every lag of the full convolution, read at f's nodes
+        # (zero beyond the last lag on each side)
         rng = np.random.default_rng(5)
         g = Grid1D(-2, 2, 201)
         dx = g.spacing
@@ -223,6 +222,28 @@ class TestConvolve:
         ref = np.interp(idx, np.arange(-1, len(full) - 1), full)
         scale = dx * np.sum(np.abs(f.values)) * np.max(np.abs(k.values))
         assert np.max(np.abs(convolve(f, k).values - ref)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("r", [171, 853, 2047])
+    def test_lattice_kernel_reads_exact_lags(self, r):
+        # output i is lag i + r of the full convolution, whatever rounding
+        # leaves in g.lo / dx (-170.99999999999997 for r = 171)
+        rng = np.random.default_rng(r)
+        grid = symmetric_grid(6.0, 2048)
+        dx = grid.spacing
+        f = GridFunction(grid, rng.normal(size=grid.n))
+        half = rng.random(r + 1)
+        g = GridFunction(Grid1D(-r * dx, r * dx, 2 * r + 1),
+                         np.concatenate([half[:0:-1], half]))
+        want = (np.convolve(f.values, g.values) * dx)[np.arange(grid.n) + r]
+        assert np.array_equal(convolve(f, g).values, want)
+
+    def test_off_lattice_kernel_rejected(self):
+        g = Grid1D(-2, 2, 201)
+        dx = g.spacing
+        f = GridFunction.from_callable(g, gaussian_density)
+        k = GridFunction(Grid1D(-60.25 * dx, 60.75 * dx, 122), np.ones(122))
+        with pytest.raises(GridMismatchError, match="lattice"):
+            convolve(f, k)
 
     def test_mismatched_spacing_rejected(self):
         f = GridFunction.from_callable(Grid1D(-1, 1, 101), gaussian_density)

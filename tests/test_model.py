@@ -184,6 +184,12 @@ class TestUFunction:
         with pytest.raises(CoverageError):
             u_function(0.2, 0.0, law)  # needs coverage of [-5, 5]
 
+    def test_tabulated_u_equal_one_needs_no_coverage(self):
+        # U(1) = a0 integrates nothing, so a table short of [-1, 1] is enough
+        g = Grid1D(-0.5, 0.5, 101)
+        law = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
+        assert u_function(1.0, 0.7, law) == 0.7
+
     def test_tabulated_matches_analytic_law(self):
         g = Grid1D(-10, 10, 4001)
         table = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
@@ -278,6 +284,19 @@ class TestCumulant:
             lhs = charfn_x0(bench_kernel, t, u)
             rhs = complex(field_char_fn(bench_kernel, gaussian_law, np.array([u]))[0])
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [0.4, 2.5])
+    def test_tabulated_law_matches_closed_form(self, t):
+        # N(mu, 1) jumps: K(t) = i t a - t^2 b / 2 + e^{i mu t - t^2/2} - 1
+        #                        - i t integral_{-1}^{1} x phi(x - mu) dx
+        mu = 0.5
+        g = Grid1D(mu - 12, mu + 12, 8001)
+        table = JumpLaw.tabulated(GridFunction.from_callable(g, lambda x: phi(x - mu)))
+        inner = (mu * (stats.norm.cdf(1 - mu) - stats.norm.cdf(-1 - mu))
+                 + phi(-1 - mu) - phi(1 - mu))
+        want = (1j * t * 0.3 - 0.5 * t * t * 0.2 + np.exp(1j * mu * t - 0.5 * t * t) - 1
+                - 1j * t * inner)
+        assert abs(cumulant(LevyTriplet(0.3, 0.2, table), t) - want) <= 1e-5
 
     def test_charfn_bounded_and_hermitian(self, bench_kernel, exponential_law):
         u = np.linspace(-8, 8, 41)

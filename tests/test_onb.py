@@ -54,6 +54,11 @@ class TestHaarBasis:
         basis = HaarBasis(6.0, 2, 7, n_cells=1000)
         assert basis.n_cells % 8 == 0
 
+    @pytest.mark.parametrize("A", [1e-310, 1e308])
+    def test_cell_width_beyond_normal_floats_rejected(self, A):
+        with pytest.raises(InvalidInputError, match="finite normal float"):
+            HaarBasis(A, 2, 7)
+
 
 class TestBuildEta:
     def test_identity_kernel(self, h_linear):
@@ -91,6 +96,25 @@ class TestBuildEta:
         k = kernel_1d([1.0, -1.0]).with_pivot(1.0)
         with pytest.raises(PreconditionError, match="contraction"):
             build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
+
+    def test_non_unit_volumes_rejected(self, h_linear):
+        k = SimpleKernel(coeffs=np.array([1.3, 0.2]), offsets=np.array([[0], [1]]),
+                         volumes=np.array([2.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="unit cell volumes"):
+            build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
+
+    @pytest.mark.parametrize("coeffs", [None, [1.0, -0.3]], ids=["bench", "1d"])
+    def test_rows_match_explicit_sum(self, coeffs, bench_kernel, h_linear):
+        # eta_j(x) = sum_k (1/|f_k|) (h(x)/h((f1/f_k) x)) psi_j((f1/f_k) x)
+        kernel = bench_kernel if coeffs is None else kernel_1d(coeffs)
+        basis = HaarBasis(6.0, 2, 7)
+        system = build_eta(basis, kernel, h_linear)
+        f1 = system.pivot_value
+        mid = basis.midpoints()
+        for j in range(basis.m):
+            ref = sum(h_linear.ratio(f1 / fk) / abs(fk) * basis.evaluate(j, f1 / fk * mid)
+                      for fk in kernel.coeffs)
+            assert np.max(np.abs(system.eta_values[j] - ref)) <= 1e-14
 
 
 class TestProjection:
