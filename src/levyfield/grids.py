@@ -12,7 +12,7 @@ Quadrature is composite trapezoid.  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
 sum_j c_j exp(+-i u_k x_j), evaluated by :func:`phase_sum`: a type-1
 non-uniform FFT on uniform targets, with a direct O(n*m) sum as the
-reference path.  The two agree to about 1e-14 of sum_j |c_j|.  No grid may
+reference path.  The two agree to about 1e-13 of sum_j |c_j|.  No grid may
 have more than ``_MAX_CELLS`` nodes (:func:`_check_budget`).
 """
 
@@ -40,12 +40,12 @@ __all__ = [
 # Largest node count of any allocated grid (x-, u- and kernel grids, Haar
 # cells, simulation cells)
 _MAX_CELLS = 50_000_000
-# Gaussian spreading half-width of the non-uniform FFT, in oversampled-grid
-# points on each side of a source: the truncated Gaussian leaves a relative
-# error near 1e-14.
-_SPREAD_HALF_WIDTH = 14
+# Width, in grid points, of the exponential-of-semicircle spreading kernel of
+# the non-uniform FFT: with beta = 2.30 * width and oversampling 2 it leaves
+# a relative error near 1e-14.
+_ES_WIDTH = 16
 # sources spread per pass; bounds the (block x width) scratch at well under 1 MB
-_SPREAD_BLOCK = 512
+_SPREAD_BLOCK = 1024
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -86,7 +86,8 @@ class Grid1D:
 
 
 def symmetric_grid(half_width: float, n: int) -> Grid1D:
-    """Grid on [-half_width, half_width].  Odd n puts a node at 0."""
+    """Grid on [-half_width, half_width].  Odd n puts the middle node at 0
+    only up to rounding: it may sit a few ulps of half_width off 0."""
     return Grid1D(-half_width, half_width, n)
 
 
@@ -151,47 +152,72 @@ def _direct_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> 
     return out
 
 
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """The exponential-of-semicircle kernel exp(beta (sqrt(1 - z^2) - 1)) on
+    |z| <= 1, with beta = 2.30 * _ES_WIDTH."""
+    return np.exp(2.30 * _ES_WIDTH * (np.sqrt(1.0 - z * z) - 1.0))
+
+
 def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
     """Type-1 non-uniform FFT of :func:`phase_sum` on the uniform targets u.
 
-    With c = n_u // 2 and m = k - c, e^{i u_k x} = e^{i u_c x} e^{i m du x},
-    so each row is the Fourier coefficients S(m) = sum_j w_j e^{i m s_j} of
-    sources s_j = du x_j (mod 2 pi) with weights w_j = coef_j e^{i u_c x_j}.
-    The sources are spread by a periodised Gaussian onto 2 n_u points, one
-    inverse FFT gives the Gaussian-weighted coefficients, and dividing by
-    the Gaussian's own coefficients recovers S(m) (Greengard & Lee, SIAM
-    Review 46(3), 2004).  A negative sign negates the sources.
+    With u_k = u_c + m du, m = k - c, each row is the Fourier coefficients
+    S(m) = sum_j w_j e^{i m du x_j} of the weights w_j = coef_j e^{i u_c x_j}.
+    Real rows on targets from u_0 = 0 take c = 0, so their weights stay
+    real and each row is one real stream; other rows are centred at
+    c = n_u // 2 and spread as a real and an imaginary stream.  Each stream
+    is spread by the exponential-of-semicircle kernel onto a periodic grid
+    of m_r points, the power of two >= 4 max|m| (oversampling >= 2), one
+    real FFT gives the kernel-weighted coefficients, and dividing by the DFT
+    of the kernel sampled on that grid recovers S(m) (Barnett, Magland &
+    af Klinteberg, SIAM J. Sci. Comput. 41(5), 2019).  A negative sign
+    negates the sources.
     """
     x = sign * x
     rows = np.asarray(coef).reshape(-1, len(x))
     n_u = len(u)
-    c = n_u // 2
+    real = not np.iscomplexobj(rows) and u[0] == 0.0
+    c = 0 if real else n_u // 2
     du = (u[-1] - u[0]) / (n_u - 1)
     centre = u[0] + c * du
-    m_r = 2 * n_u
-    h = 2 * np.pi / m_r
-    # Greengard & Lee's Gaussian variance pi M_sp / (M^2 R (R - 1/2)) at R = 2
-    tau = np.pi * _SPREAD_HALF_WIDTH / (3.0 * n_u ** 2)
-    taps = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
-    # bincount takes real weights: the real parts of the rows, then the
-    # imaginary parts, are spread one by one
-    spread = np.zeros((2 * len(rows), m_r))
+    m = np.arange(n_u) - c
+    m_r = 1 << (4 * max(c, n_u - 1 - c) - 1).bit_length()
+    half = _ES_WIDTH // 2
+    taps = np.arange(_ES_WIDTH)
+    # Source j sits at t_j = -du x_j / h grid points, h = 2 pi / m_r, so that
+    # the forward FFT's e^{-i m n h} gives e^{+i m du x_j}.  Its taps are the
+    # nodes floor(t_j) - half + 1 .. floor(t_j) + half (mod m_r); node n is
+    # stored at index n + half - 1 of a grid padded by half - 1 points below
+    # node 0 and half points above node m_r - 1.
+    offsets = (taps - (half - 1)) / half
+    spread = np.zeros((len(rows) * (1 if real else 2), m_r + _ES_WIDTH - 1))
     for start in range(0, len(x), _SPREAD_BLOCK):
         xb = x[start:start + _SPREAD_BLOCK]
-        # reduce to [-pi, pi) so that small phases stay exact
-        s = du * xb
-        s -= 2 * np.pi * np.rint(s / (2 * np.pi))
-        node = np.floor(s / h).astype(np.int64)[:, None] + taps
-        kern = np.exp(-(s[:, None] - node * h) ** 2 / (4 * tau))
-        node = (node % m_r).ravel()
-        w = rows[:, start:start + _SPREAD_BLOCK] * np.exp(1j * centre * xb)
-        for acc, weight in zip(spread, np.concatenate([w.real, w.imag])):
-            acc += np.bincount(node, weights=(kern * weight[:, None]).ravel(), minlength=m_r)
-    m = np.arange(n_u) - c
-    deconv = np.sqrt(np.pi / tau) * np.exp(m * m * tau)
-    re, im = np.split(spread, 2)
-    out = np.fft.ifft(re + 1j * im, axis=1)[:, m % m_r] * deconv
-    return out.reshape(np.shape(coef)[:-1] + (n_u,))
+        w = rows[:, start:start + _SPREAD_BLOCK]
+        if not real:
+            w = w * np.exp(1j * centre * xb)
+            w = np.concatenate([w.real, w.imag])
+        t = xb * (-du * m_r / (2 * np.pi))
+        base = np.floor(t)
+        kern = _es_kernel(offsets - ((t - base) / half)[:, None])
+        node = ((base.astype(np.int64) & (m_r - 1))[:, None] + taps).ravel()
+        for acc, weight in zip(spread, w):
+            acc += np.bincount(node, weights=(kern * weight[:, None]).ravel(),
+                               minlength=m_r + _ES_WIDTH - 1)
+    # fold the overhangs onto the periodic grid of nodes 0 .. m_r - 1
+    grid = spread[:, half - 1:m_r + half - 1]
+    grid[:, m_r - half + 1:] += spread[:, :half - 1]
+    grid[:, :half] += spread[:, m_r + half - 1:]
+    sampled = np.zeros(m_r)
+    nodes = np.arange(-half, half + 1)
+    sampled[nodes] = _es_kernel(nodes / half)
+    spec = np.fft.rfft(grid, axis=1)[:, np.abs(m)] / np.fft.rfft(sampled).real[np.abs(m)]
+    # a real grid's transform at -m is the conjugate of that at m
+    spec[:, m < 0] = np.conj(spec[:, m < 0])
+    if not real:
+        re, im = np.split(spec, 2)
+        spec = re + 1j * im
+    return spec.reshape(np.shape(coef)[:-1] + (n_u,))
 
 
 def _uniform(points: np.ndarray) -> bool:
@@ -203,15 +229,15 @@ def phase_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float = 1.0)
     """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for every row of coef.
 
     ``coef`` is one row (length len(x)) or a stack of rows; the result has
-    one row of len(u) values per coefficient row.  Uniform targets, more
-    of them than the 2 * 14 spreading taps, take the non-uniform FFT
-    (``_nufft_sum``), which agrees with the direct sum to about 1e-14 of
-    sum_j |coef_j| in O(len(x) * 28 + len(u) log len(u)) work.  Other
-    targets take the direct sum (``_direct_sum``, the reference path).
+    one row of len(u) values per coefficient row.  More than 28 uniform
+    targets take the non-uniform FFT (``_nufft_sum``), which agrees with
+    the direct sum to about 1e-13 of sum_j |coef_j| in
+    O(len(x) * 16 + len(u) log len(u)) work.  Other targets take the
+    direct sum (``_direct_sum``, the reference path).
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if len(u) <= 2 * _SPREAD_HALF_WIDTH or not _uniform(u):
+    if len(u) <= 28 or not _uniform(u):
         return _direct_sum(coef, x, u, sign)
     return _nufft_sum(coef, x, u, sign)
 

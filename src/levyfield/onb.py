@@ -91,19 +91,23 @@ class HaarBasis:
         return Grid1D(-self.A + 0.5 * self.dx, self.A - 0.5 * self.dx, self.n_cells)
 
     def evaluate(self, j: int, x) -> np.ndarray:
-        """Pointwise values of basis function j (0-based), zero off [-A, A]."""
-        x = np.asarray(x, dtype=float)
-        inside = (x >= -self.A) & (x < self.A)
+        """Pointwise values of basis function j (0-based), zero off [-A, A].
+
+        Each point is looked up by the number of the function's breakpoints
+        at or below it, which is what comparisons with those breakpoints
+        give, ties included.
+        """
         if j == 0:
-            return np.where(inside, 1.0 / np.sqrt(2 * self.A), 0.0)
-        level = int(np.floor(np.log2(j))) if j > 0 else 0
-        shift = j - 2 ** level
-        width = 2 * self.A / 2 ** level
-        left = -self.A + shift * width
-        amp = np.sqrt(2 ** level / (2 * self.A))
-        up = (x >= left) & (x < left + width / 2)
-        down = (x >= left + width / 2) & (x < left + width)
-        return np.where(up, amp, 0.0) - np.where(down, amp, 0.0)
+            edges = [-self.A, self.A]
+            values = np.array([0.0, 1.0 / np.sqrt(2 * self.A), 0.0])
+        else:
+            level = int(j).bit_length() - 1
+            width = 2 * self.A / 2 ** level
+            left = -self.A + (j - 2 ** level) * width
+            amp = np.sqrt(2 ** level / (2 * self.A))
+            edges = [left, left + width / 2, left + width]
+            values = np.array([0.0, amp, -amp, 0.0])
+        return values[np.searchsorted(edges, np.asarray(x, dtype=float), side="right")]
 
     def values_matrix(self) -> np.ndarray:
         """(m, n_cells) midpoint samples of the basis."""

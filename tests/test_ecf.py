@@ -85,7 +85,17 @@ class TestComputeEcf:
         assert np.max(np.abs(ecf.psi_hat - pd)) < 1e-10
         assert np.max(np.abs(ecf.theta_hat - td)) < 1e-10
 
+    def test_exact_centre_on_rounded_grid(self):
+        # linspace leaves this grid's middle node at 1.4e-14, not at 0
+        grid = symmetric_grid(np.pi * 40.72999468458327, 4095)
+        assert grid.nodes()[grid.n // 2] != 0.0
+        y = np.random.default_rng(4).normal(size=300)
+        ecf = compute_ecf(y, grid)
+        assert ecf.psi_hat[grid.n // 2] == 1.0
+        assert ecf.theta_hat[grid.n // 2] == y.mean()
+
     @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("weights", ["complex", "real"])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
            scale=st.floats(0.1, 200.0), seed=st.integers(0, 2 ** 32 - 1),
            u0=st.floats(-5.0, 5.0), du=st.floats(1e-3, 0.05), half=st.integers(14, 300),
@@ -94,12 +104,14 @@ class TestComputeEcf:
              sign=1.0)
     @example(n_obs=500, kind="zeros", scale=1.0, seed=0, u0=-1.0, du=0.01, half=200, sign=-1.0)
     @settings(max_examples=30, deadline=None)
-    def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, u0, du, half,
-                                       sign):
+    def test_nufft_matches_direct_sums(self, weights, parity, n_obs, kind, scale, seed, u0, du,
+                                       half, sign):
         # the shared sum at 29 or more targets (odd counts for parity 0, even
-        # for 1) over the ECF rows 1 and Y and a complex row, each over N.
+        # for 1), each row over N.  "complex": the ECF rows 1 and Y and a
+        # complex row on targets from u0.  "real": rows 1 and Y only on
+        # targets from u = 0, the ECF half-grid, which spreads real weights.
         # The Y row rounds at the scale of max |Y| in both paths, so it is
-        # compared at that scale, the other two at scale 1
+        # compared at that scale, the other rows at scale 1
         rng = np.random.default_rng(seed)
         if kind == "zeros":
             y = np.zeros(n_obs)
@@ -109,12 +121,16 @@ class TestComputeEcf:
             y = np.clip(rng.laplace(scale=scale, size=n_obs), -1e3, 1e3)
             y[0] = 1e3
         z = (rng.normal(size=n_obs) + 1j * rng.normal(size=n_obs)) / np.sqrt(2)
-        rows = np.stack([np.ones_like(y), y, z]) / n_obs
-        u = u0 + du * np.arange(2 * half + 1 + parity)
+        if weights == "complex":
+            rows = np.stack([np.ones_like(y), y, z]) / n_obs
+            u = u0 + du * np.arange(2 * half + 1 + parity)
+        else:
+            rows = np.stack([np.ones_like(y), y]) / n_obs
+            u = du * np.arange(2 * half + 1 + parity)
         fast = phase_sum(rows, y, u, sign)
         ref = _direct_sum(rows, y, u, sign)
         err = np.max(np.abs(fast - ref), axis=1)
-        assert err[0] <= 1e-10 and err[2] <= 1e-10
+        assert err[0] <= 1e-10 and np.all(err[2:] <= 1e-10)
         assert err[1] <= 1e-10 * max(1.0, np.max(np.abs(y)))
 
 

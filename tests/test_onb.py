@@ -54,6 +54,34 @@ class TestHaarBasis:
         basis = HaarBasis(6.0, 2, 7, n_cells=1000)
         assert basis.n_cells % 8 == 0
 
+    @pytest.mark.parametrize("A", [1.0, 6.0, 7.3])
+    def test_evaluate_matches_interval_masks(self, A):
+        # each function against its half-open intervals [left, left + width/2)
+        # and [left + width/2, left + width), compared exactly: on the
+        # midpoints, the midpoints scaled as build_eta scales them for the
+        # bench kernel and [1.0, -0.3], the x-grid nodes, and every
+        # breakpoint with its float neighbours
+        basis = HaarBasis(A, 4, 32)
+        mid = basis.midpoints()
+        cells = []  # (left, width, amp) of each wavelet j >= 1
+        for j in range(1, basis.m):
+            level = int(np.log2(j))
+            width = 2 * A / 2 ** level
+            cells.append((-A + (j - 2 ** level) * width, width, np.sqrt(2 ** level / (2 * A))))
+        points = [mid, np.linspace(-A, A, 2048)]
+        points += [f1 * mid / fk for f1, coeffs in ((1.3, [1.3, 0.2, 0.1, 0.1]), (1.0, [1.0, -0.3]))
+                   for fk in coeffs]
+        for left, width, _ in cells:
+            edges = np.array([left, left + width / 2, left + width])
+            points += [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        x = np.concatenate(points)
+        inside = (x >= -A) & (x < A)
+        assert np.array_equal(basis.evaluate(0, x), np.where(inside, 1 / np.sqrt(2 * A), 0.0))
+        for j, (left, width, amp) in enumerate(cells, start=1):
+            up = (x >= left) & (x < left + width / 2)
+            down = (x >= left + width / 2) & (x < left + width)
+            assert np.array_equal(basis.evaluate(j, x), np.where(up, amp, 0.0) - np.where(down, amp, 0.0))
+
     @pytest.mark.parametrize("A", [1e-310, 1e308])
     def test_cell_width_beyond_normal_floats_rejected(self, A):
         with pytest.raises(InvalidInputError, match="finite normal float"):
