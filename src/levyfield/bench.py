@@ -202,20 +202,14 @@ def emit_results_csv(path, results: list[BenchResult]) -> None:
                                  repr(float(rt))])
 
 
-def emit_estimate_csv(path, estimate: GridFunction,
-                      truth: GridFunction | None = None) -> None:
-    """`x,g0_true,g0_hat` (the truth column requires a known law)."""
+def emit_estimate_csv(path, estimate: GridFunction, truth: GridFunction) -> None:
+    """`x,g0_true,g0_hat` on the estimate's grid."""
     x = estimate.grid.nodes()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if truth is not None:
-            writer.writerow(["x", "g0_true", "g0_hat"])
-            for xi, ti, vi in zip(x, truth.values, estimate.values):
-                writer.writerow([repr(float(xi)), repr(float(ti)), repr(float(vi))])
-        else:
-            writer.writerow(["x", "g0_hat"])
-            for xi, vi in zip(x, estimate.values):
-                writer.writerow([repr(float(xi)), repr(float(vi))])
+        writer.writerow(["x", "g0_true", "g0_hat"])
+        for xi, ti, vi in zip(x, truth.values, estimate.values):
+            writer.writerow([repr(float(xi)), repr(float(ti)), repr(float(vi))])
 
 
 def emit_manifest(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:

@@ -37,9 +37,12 @@ def _is_int(val) -> bool:
     return isinstance(val, numbers.Integral) and not isinstance(val, bool)
 
 
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
 def _is_positive_real(val) -> bool:
-    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
-            and math.isfinite(val) and val > 0)
+    return _is_real(val) and math.isfinite(val) and val > 0
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,16 @@ class ExperimentConfig:
             raise ConfigError("oracle_g1 must be a boolean")
         # constructing the objects validates coefficient/offset consistency
         try:
-            self.kernel_obj()
+            n_cells = self.kernel_obj().n
             self.law_obj()
         except Exception as exc:
             raise ConfigError(f"invalid kernel or jump law: {exc}") from exc
+        # every cell is a unit lattice cell; the optional key may only say so
+        vol = c.kernel.get("volumes", [1] * n_cells)
+        if not (isinstance(vol, (list, tuple)) and len(vol) == n_cells
+                and all(_is_real(v) and v == 1 for v in vol)):
+            raise ConfigError(f"kernel.volumes must list {n_cells} ones (unit lattice "
+                              f"cells), got {vol!r}")
 
     # -- serialisation ----------------------------------------------------
 
@@ -156,11 +165,9 @@ class ExperimentConfig:
     # -- object factories --------------------------------------------------
 
     def kernel_obj(self) -> SimpleKernel:
-        vol = self.kernel.get("volumes")
         return SimpleKernel(
             coeffs=np.asarray(self.kernel["coeffs"], dtype=float),
             offsets=np.asarray(self.kernel["offsets"], dtype=int),
-            volumes=None if vol is None else np.asarray(vol, dtype=float),
         )
 
     def law_obj(self) -> JumpLaw:

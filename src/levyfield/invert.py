@@ -51,7 +51,6 @@ class ContractionReport:
     pivot_value: float
     n1: int
     e_factor: float
-    per_term: tuple  # (index k, s_k, contribution to e)
     satisfied: bool
 
 
@@ -59,17 +58,9 @@ def contraction_factor(kernel: SimpleKernel, h: WeightH,
                        pivot_value: float | None = None) -> ContractionReport:
     """e(f, h) = (1/n1) sum_{k: f_k != f1} s_k (|f1|/|f_k|)^{1/2},
     s_k = |f_k/f1|^beta.  Reports satisfied = (e < 1) instead of raising."""
-    pivot, q_idx, n1 = kernel.pivot_info(h, pivot_value)
-    per_term = []
-    for k in range(kernel.n):
-        if k in q_idx:
-            continue
-        sk = h.s(pivot / kernel.coeffs[k])
-        contrib = sk * math.sqrt(abs(pivot) / abs(kernel.coeffs[k])) / n1
-        per_term.append((k, sk, contrib))
-    total = e_factor(kernel, h, pivot)
-    return ContractionReport(pivot_value=pivot, n1=n1, e_factor=total,
-                             per_term=tuple(per_term), satisfied=total < 1.0)
+    pivot, _, n1 = kernel.pivot_info(h, pivot_value)
+    e = e_factor(kernel, h, pivot)
+    return ContractionReport(pivot_value=pivot, n1=n1, e_factor=e, satisfied=e < 1.0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +137,6 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
     Term count is sum_j C(j + g - 1, g - 1) with g the number of distinct
     non-pivot values, versus (n - n1)^j raw tuples.
     """
-    if not np.allclose(kernel.volumes, 1.0):
-        raise InvalidInputError("series inversion assumes unit cell volumes")
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
     pivot, q_idx, n1 = kernel.pivot_info(h)

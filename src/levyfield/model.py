@@ -4,13 +4,13 @@ The forward maps take the characteristics (a0, b0, v0) of the integrator
 measure to the characteristics (a1, b1, v1) of the stationary field
 sampled at a point:
 
-    a1 = sum_k U(f_k) vol_k
-    b1 = b0 sum_k f_k^2 vol_k
-    v1(x) = sum_k (vol_k / |f_k|) v0(x / f_k)
+    a1 = sum_k U(f_k)
+    b1 = b0 sum_k f_k^2
+    v1(x) = sum_k v0(x / f_k) / |f_k|
 
 with U(u) = u (a0 + integral x [1_{[-1,1]}(ux) - 1_{[-1,1]}(x)] v0(x) dx).
 The algebraic recovery of (a0, b0) from (a1, b1) inverts the first two
-relations; it is singular when sum_k f_k vol_k = 0.
+relations; it is singular when sum_k f_k = 0.
 
 :func:`forward_g_transform` is the one forward scaling operator: v1 is its
 image with h = 1, the ONB system pushes the Haar basis through it, and
@@ -51,7 +51,6 @@ __all__ = [
     "cumulant",
     "charfn_x0",
     "field_char_fn",
-    "field_char_fn_deriv",
     "field_theta",
     "field_moments",
     "fourier_g1_model",
@@ -299,14 +298,15 @@ class SimpleKernel:
     """A simple function sum_k f_k 1_{cell_k} on unit lattice cells.
 
     ``offsets`` holds the integer lattice corner of each cell
-    cell_k = offset_k + [0,1)^d; ``volumes`` the cell volumes (all 1 for
-    lattice cells).  ``pivot_value`` optionally fixes the pivot group;
-    by default the group minimising the contraction factor is used.
+    cell_k = offset_k + [0,1)^d, so every cell has volume 1 and the forward
+    maps read a1 = sum_k U(f_k), b1 = b0 sum_k f_k^2 and
+    v1(x) = sum_k v0(x / f_k) / |f_k|.  ``pivot_value`` optionally fixes
+    the pivot group; by default the group minimising the contraction
+    factor is used.
     """
 
     coeffs: np.ndarray
     offsets: np.ndarray
-    volumes: np.ndarray | None = None
     pivot_value: float | None = None
 
     def __post_init__(self):
@@ -320,15 +320,8 @@ class SimpleKernel:
             raise InvalidInputError("all kernel coefficients must be nonzero finite")
         if len({tuple(o) for o in offsets}) != len(offsets):
             raise InvalidInputError("cell offsets must be pairwise distinct")
-        volumes = self.volumes
-        if volumes is None:
-            volumes = np.ones(len(coeffs))
-        volumes = np.atleast_1d(np.asarray(volumes, dtype=float))
-        if np.any(volumes <= 0):
-            raise InvalidInputError("cell volumes must be positive")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "volumes", volumes)
 
     @property
     def n(self) -> int:
@@ -380,10 +373,10 @@ class SimpleKernel:
         return replace(self, pivot_value=pivot_value)
 
     def sum_f_vol(self) -> float:
-        return float(np.sum(self.coeffs * self.volumes))
+        return float(np.sum(self.coeffs))
 
     def sum_f2_vol(self) -> float:
-        return float(np.sum(self.coeffs ** 2 * self.volumes))
+        return float(np.sum(self.coeffs ** 2))
 
 
 def e_factor(kernel: SimpleKernel, h: WeightH, pivot_value: float) -> float:
@@ -419,20 +412,19 @@ def u_function(u: float, a0: float, v0: JumpLaw | None) -> float:
 
 
 def forward_drift(kernel: SimpleKernel, a0: float, v0: JumpLaw | None) -> float:
-    """a1 = sum_k U(f_k) vol_k."""
-    return float(sum(u_function(fk, a0, v0) * vk
-                     for fk, vk in zip(kernel.coeffs, kernel.volumes)))
+    """a1 = sum_k U(f_k)."""
+    return float(sum(u_function(fk, a0, v0) for fk in kernel.coeffs))
 
 
 def forward_gaussian(kernel: SimpleKernel, b0: float) -> float:
-    """b1 = b0 sum_k f_k^2 vol_k."""
+    """b1 = b0 sum_k f_k^2."""
     if b0 < 0:
         raise InvalidInputError("b0 must be >= 0")
     return b0 * kernel.sum_f2_vol()
 
 
 def forward_levy_density(kernel: SimpleKernel, v0):
-    """Pointwise evaluator of v1(x) = sum_k (vol_k / |f_k|) v0(x / f_k).
+    """Pointwise evaluator of v1(x) = sum_k v0(x / f_k) / |f_k|.
 
     ``v0`` may be a JumpLaw or any vectorised callable.  This is the
     forward operator with the weight h = 1.
@@ -444,7 +436,7 @@ def forward_levy_density(kernel: SimpleKernel, v0):
 def forward_g_transform(g0_eval, kernel: SimpleKernel, h: WeightH):
     """The forward operator on weighted densities g = h * v:
 
-        g1(x) = sum_k vol_k (1/|f_k|) (h(x)/h(x/f_k)) g0(x/f_k).
+        g1(x) = sum_k (1/|f_k|) (h(x)/h(x/f_k)) g0(x/f_k).
 
     Returns a pointwise evaluator; g0_eval may be a callable or GridFunction.
     """
@@ -452,8 +444,8 @@ def forward_g_transform(g0_eval, kernel: SimpleKernel, h: WeightH):
     def g1(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for fk, vk in zip(kernel.coeffs, kernel.volumes):
-            out = out + vk / abs(fk) * h.ratio(1.0 / fk) * np.asarray(g0_eval(x / fk))
+        for fk in kernel.coeffs:
+            out = out + 1.0 / abs(fk) * h.ratio(1.0 / fk) * np.asarray(g0_eval(x / fk))
         return out
 
     return g1
@@ -463,19 +455,17 @@ def recover_a0_b0(kernel: SimpleKernel, a1: float, b1: float,
                   v0: JumpLaw | None) -> tuple[float, float]:
     """Invert the (a, b) forward maps given the known jump density v0.
 
-    b0 = b1 / sum f_k^2 vol_k.  For the drift, U(f_k) = f_k (a0 + I_k) with
-    I_k independent of a0, so a1 = a0 sum f_k vol_k + sum f_k vol_k I_k is
-    linear in a0; it is singular when sum f_k vol_k = 0.
+    b0 = b1 / sum f_k^2.  For the drift, U(f_k) = f_k (a0 + I_k) with I_k
+    independent of a0, so a1 = a0 sum f_k + sum f_k I_k is linear in a0;
+    it is singular when sum f_k = 0.
     """
     s2 = kernel.sum_f2_vol()
     if s2 <= 0:
-        raise InvalidInputError("sum f_k^2 vol_k must be positive")
+        raise InvalidInputError("sum f_k^2 must be positive")
     b0 = b1 / s2
     s1 = kernel.sum_f_vol()
-    if abs(s1) < 1e-14 * float(np.sum(np.abs(kernel.coeffs * kernel.volumes))):
-        raise SingularRecoveryError(
-            "sum f_k vol_k = 0: drift not identifiable from a1 by this route"
-        )
+    if abs(s1) < 1e-14 * float(np.sum(np.abs(kernel.coeffs))):
+        raise SingularRecoveryError("sum f_k = 0: drift not identifiable from a1 by this route")
     a0 = (a1 - forward_drift(kernel, 0.0, v0)) / s1
     return float(a0), float(b0)
 
@@ -503,24 +493,18 @@ def cumulant(triplet: LevyTriplet, t: float) -> complex:
 
 
 def charfn_x0(kernel: SimpleKernel, triplet: LevyTriplet, u: float) -> complex:
-    """Characteristic function of X(0): exp{ sum_k vol_k K(u f_k) }."""
-    return complex(np.exp(sum(vk * cumulant(triplet, u * fk)
-                              for fk, vk in zip(kernel.coeffs, kernel.volumes))))
+    """Characteristic function of X(0): exp{ sum_k K(u f_k) }."""
+    return complex(np.exp(sum(cumulant(triplet, u * fk) for fk in kernel.coeffs)))
 
 
 def field_char_fn(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
     """psi(u) for the pure-jump compound Poisson field:
-    exp{ sum_k vol_k mass (phi_J(u f_k) - 1) }."""
+    exp{ sum_k mass (phi_J(u f_k) - 1) }."""
     u = np.asarray(u, dtype=float)
     expo = np.zeros(u.shape, dtype=complex)
-    for fk, vk in zip(kernel.coeffs, kernel.volumes):
-        expo += vk * law.mass * (law.char_fn(u * fk) - 1.0)
+    for fk in kernel.coeffs:
+        expo += law.mass * (law.char_fn(u * fk) - 1.0)
     return np.exp(expo)
-
-
-def field_char_fn_deriv(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
-    """psi'(u) = i theta(u)."""
-    return 1j * field_theta(kernel, law, u)
 
 
 def field_theta(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
@@ -531,10 +515,9 @@ def field_theta(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
 def field_moments(kernel: SimpleKernel, law: JumpLaw) -> dict:
     """Exact moments of Y0 = X(0) for the compound Poisson field.
 
-    Cumulants: kappa_r = mass sum_k vol_k f_k^r m_r with m_r the raw jump
-    moments.
+    Cumulants: kappa_r = mass sum_k f_k^r m_r with m_r the raw jump moments.
     """
-    kappa = {r: law.mass * float(np.sum(kernel.volumes * kernel.coeffs ** r)) * law.raw_moment(r)
+    kappa = {r: law.mass * float(np.sum(kernel.coeffs ** r)) * law.raw_moment(r)
              for r in (1, 2, 3, 4)}
     k1, k2, k3, k4 = kappa[1], kappa[2], kappa[3], kappa[4]
     mean = k1
@@ -546,9 +529,9 @@ def field_moments(kernel: SimpleKernel, law: JumpLaw) -> dict:
 
 def fourier_g1_model(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
     """Closed-form F[g1](u) for g1 = x v1:
-    -i sum_k vol_k mass f_k phi_J'(f_k u)."""
+    -i sum_k mass f_k phi_J'(f_k u)."""
     u = np.asarray(u, dtype=float)
     out = np.zeros(u.shape, dtype=complex)
-    for fk, vk in zip(kernel.coeffs, kernel.volumes):
-        out += vk * law.mass * fk * law.char_fn_deriv(fk * u)
+    for fk in kernel.coeffs:
+        out += law.mass * fk * law.char_fn_deriv(fk * u)
     return -1j * out

@@ -109,10 +109,9 @@ class HaarBasis:
             values = np.array([0.0, amp, -amp, 0.0])
         return values[np.searchsorted(edges, np.asarray(x, dtype=float), side="right")]
 
-    def values_matrix(self) -> np.ndarray:
-        """(m, n_cells) midpoint samples of the basis."""
-        mid = self.midpoints()
-        return np.stack([self.evaluate(j, mid) for j in range(self.m)])
+    def values(self, x) -> np.ndarray:
+        """(m, len(x)) stack of the basis functions' values at x."""
+        return np.stack([self.evaluate(j, x) for j in range(self.m)])
 
     def combine(self, coeffs: np.ndarray, x) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -151,15 +150,12 @@ class EtaSystem:
 def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     """Construct the eta system and orthonormalise it.
 
-    Preconditions: the cells have unit volume, the pivot has maximal
-    absolute value among the coefficients and the contraction factor
-    satisfies e(f, h) < 1.
+    Preconditions: the pivot has maximal absolute value among the
+    coefficients and the contraction factor satisfies e(f, h) < 1.
     Gram-Schmidt is the QR factorisation of the sqrt(dx)-scaled samples,
     signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
     norm raises a degeneracy error.
     """
-    if not np.allclose(kernel.volumes, 1.0):
-        raise InvalidInputError("the eta system assumes unit cell volumes")
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):
@@ -170,12 +166,8 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     e = e_factor(kernel, h, pivot)
     if e >= 1.0:
         raise PreconditionError(f"contraction factor e = {e:.6g} >= 1")
-
-    def psi(x):
-        # the (m, n) basis samples; the forward operator maps each row
-        return np.stack([basis.evaluate(j, x) for j in range(basis.m)])
-
-    eta = _g1bar(forward_g_transform(psi, kernel, h), pivot, h, basis.midpoints())
+    # the forward operator maps each row of the (m, n) basis samples
+    eta = _g1bar(forward_g_transform(basis.values, kernel, h), pivot, h, basis.midpoints())
     samples = np.sqrt(basis.dx) * eta.T
     q, mix = np.linalg.qr(samples)
     small = np.abs(np.diag(mix)) < 1e-8 * np.linalg.norm(samples, axis=0)

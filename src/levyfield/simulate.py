@@ -81,11 +81,11 @@ class GridSample:
         return self.values.reshape(-1)
 
 
-def _cp_sums(law: JumpLaw, volumes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vector of independent compound Poisson sums, one per volume entry."""
-    counts = rng.poisson(volumes * law.mass)
+def _cp_sums(law: JumpLaw, sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Vector of independent compound Poisson sums, one per cell size."""
+    counts = rng.poisson(sizes * law.mass)
     total = int(counts.sum())
-    out = np.zeros(len(volumes))
+    out = np.zeros(len(sizes))
     if total == 0:
         return out
     jumps = law.sample(rng, total)
@@ -119,10 +119,6 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
         )
     if any(w < 1 for w in window):
         raise InvalidInputError("window must be nonempty in every dimension")
-    if not np.allclose(kernel.volumes, 1.0):
-        raise InvalidInputError(
-            "lattice-cell simulation requires unit cell volumes"
-        )
     stride = int(round(mesh))
     if abs(mesh - stride) > 1e-12 or stride < 1:
         raise InvalidInputError(

@@ -57,6 +57,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: val})
 
+    @pytest.mark.parametrize("method", ["plugin", "fourier", "onb"])
+    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
+    def test_shipped_config_is_section7(self, law, method):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{law}_{method}.json"
+        assert json.loads(path.read_text()) == section7_config(law, method).to_dict()
+
     def test_json_round_trip(self, tmp_path):
         cfg = section7_config("exponential", "onb")
         path = tmp_path / "c.json"
@@ -208,6 +214,17 @@ class TestCli:
         path.write_text(json.dumps(cfg.to_dict()))
         return path
 
+    def _write_volumes(self, tmp_path, volumes, name="cfg.json", **over):
+        # raw JSON, since ExperimentConfig itself refuses any volumes but ones
+        doc = small_cfg(**over).to_dict()
+        if volumes is None:
+            del doc["kernel"]["volumes"]
+        else:
+            doc["kernel"]["volumes"] = volumes
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return path
+
     def test_simulate_estimate_bench_round_trip(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         sample = tmp_path / "s.csv"
@@ -265,12 +282,31 @@ class TestCli:
                          "--out", str(tmp_path / "r.csv")]) == 3
 
     def test_onb_non_unit_volumes_exit_code(self, tmp_path):
-        # the oracle skips the simulation, which refuses such cells itself
-        kernel = dict(ExperimentConfig().kernel, volumes=[2.0, 1.0, 1.0, 1.0])
-        cfg_path = self._write_cfg(tmp_path, method="onb", oracle_g1=True, reps=1,
-                                   kernel=kernel)
+        cfg_path = self._write_volumes(tmp_path, [2.0, 1.0, 1.0, 1.0], method="onb",
+                                       oracle_g1=True, reps=1)
         assert cli_main(["bench", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "r.csv")]) == 3
+                         "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("volumes", [[2, 1, 1, 1], [1.0], [1.0, 1.0], [[1.0]], "x",
+                                         [True, True, True, True]],
+                             ids=["non-unit", "short", "two", "nested", "string", "bools"])
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_bad_volumes_exit_code(self, tmp_path, command, volumes):
+        # refused at load; read as cell weights, a short list would drop cells
+        cfg_path = self._write_volumes(tmp_path, volumes, oracle_g1=True, reps=1)
+        assert cli_main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+
+    def test_unit_volumes_same_as_absent(self, tmp_path):
+        outputs = []
+        for i, volumes in enumerate(([1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1], None)):
+            cfg = str(self._write_volumes(tmp_path, volumes, name=f"cfg{i}.json"))
+            sample, est = tmp_path / f"s{i}.csv", tmp_path / f"e{i}.csv"
+            assert cli_main(["simulate", "--config", cfg, "--out", str(sample)]) == 0
+            assert cli_main(["estimate", "--sample", str(sample), "--config", cfg,
+                             "--out", str(est)]) == 0
+            outputs.append(sample.read_bytes() + est.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)

@@ -18,8 +18,8 @@ from levyfield.grids import (
 )
 from levyfield.model import (
     field_char_fn,
-    field_char_fn_deriv,
     field_moments,
+    field_theta,
     forward_levy_density,
     fourier_g1_model,
 )
@@ -178,9 +178,9 @@ class TestFourierG1Hat:
         assert out.values[4] != 0.0
 
     def test_relation_between_closed_forms(self, bench_kernel, gaussian_law):
-        # -i psi'/psi from the model equals F[g1] = F[x v1] by quadrature
+        # theta/psi = -i psi'/psi from the model equals F[g1] = F[x v1] by quadrature
         u = Grid1D(-3.0, 3.0, 121)
-        lhs = -1j * field_char_fn_deriv(bench_kernel, gaussian_law, u.nodes()) \
+        lhs = field_theta(bench_kernel, gaussian_law, u.nodes()) \
             / field_char_fn(bench_kernel, gaussian_law, u.nodes())
         g = Grid1D(-12, 12, 16001)
         v1 = forward_levy_density(bench_kernel, gaussian_law)

@@ -84,7 +84,6 @@ class TestContraction:
     def test_single_coefficient_empty_sum(self, h_linear):
         rep = contraction_factor(kernel_1d([2.5]), h_linear)
         assert rep.e_factor == 0.0 and rep.satisfied
-        assert rep.per_term == ()
 
     def test_odd_weight_sign_flip_not_satisfied(self, h_linear):
         rep = contraction_factor(kernel_1d([1.0, -1.0]), h_linear, pivot_value=1.0)

@@ -117,12 +117,6 @@ class TestSampleField:
         with pytest.raises(ResourceLimitError, match="cells"):
             sample_field(k, gaussian_law, (100_000, 100_000), SeedSpec(1))
 
-    def test_nonunit_volumes_rejected(self, gaussian_law):
-        k = SimpleKernel(coeffs=np.array([1.0]), offsets=np.array([[0]]),
-                         volumes=np.array([2.0]))
-        with pytest.raises(InvalidInputError):
-            sample_field(k, gaussian_law, (10,), SeedSpec(1))
-
     def test_integer_mesh_subsamples_the_lattice(self, bench_kernel, gaussian_law):
         full = sample_field(bench_kernel, gaussian_law, (21, 21), SeedSpec(8))
         coarse = sample_field(bench_kernel, gaussian_law, (11, 11), SeedSpec(8), mesh=2.0)
