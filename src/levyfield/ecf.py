@@ -14,11 +14,11 @@ so the consistent spectral estimator is theta_hat / psi_tilde with no
 additional phase factor.
 
 The first two sums are one call of :func:`grids.phase_sum`, the sum every
-transform of the package uses: a type-1 non-uniform FFT on the uniform
-u-grid, in O(N * width + n_u log n_u) work instead of O(N n_u).  It agrees
-with direct exponentials to about 1e-13 times the scale of the weights
-(1 for psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and
-the sample mean.
+transform of the package uses.  On the samples it runs a type-1
+non-uniform FFT on the uniform u-grid, in O(N * width + n_u log n_u) work
+instead of O(N n_u).  It agrees with direct exponentials to about 1e-13
+times the scale of the weights (1 for psi_hat, |Y| for theta_hat).  At
+u = 0 the sums are set to 1 and the sample mean.
 """
 
 from __future__ import annotations

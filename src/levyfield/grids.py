@@ -10,14 +10,18 @@ so that Plancherel reads ||F f||_2^2 = 2 pi ||f||_2^2.
 
 Quadrature is composite trapezoid.  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
-sum_j c_j exp(+-i u_k x_j), evaluated by :func:`phase_sum`: a type-1
-non-uniform FFT on uniform targets, with a direct O(n*m) sum as the
-reference path.  The two agree to about 1e-13 of sum_j |c_j|.  No grid may
-have more than ``_MAX_CELLS`` nodes (:func:`_check_budget`).
+sum_j c_j exp(+-i u_k x_j), evaluated by :func:`phase_sum`.  Sources on a
+Grid1D (every transform of a GridFunction) take a type-2 non-uniform FFT
+at any targets; other sources (the ECF's samples) take a type-1
+non-uniform FFT on uniform targets; the direct O(n*m) sum is the reference
+path of both and serves what is left.  Both fast paths agree with it to
+about 1e-13 of sum_j |c_j|, and the tests pin 1e-10.  No grid may have
+more than ``_MAX_CELLS`` nodes (:func:`_check_budget`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +48,9 @@ _MAX_CELLS = 50_000_000
 # the non-uniform FFT: with beta = 2.30 * width and oversampling 2 it leaves
 # a relative error near 1e-14.
 _ES_WIDTH = 16
-# sources spread per pass; bounds the (block x width) scratch at well under 1 MB
-_SPREAD_BLOCK = 1024
+# sources spread per pass of the type-1 NUFFT; bounds its per-tap scratch
+# at under 1 MB, while each of its numpy calls still covers many sources
+_SPREAD_BLOCK = 1 << 14
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -154,24 +159,49 @@ def _direct_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
     """The exponential-of-semicircle kernel exp(beta (sqrt(1 - z^2) - 1)) on
-    |z| <= 1, with beta = 2.30 * _ES_WIDTH."""
-    return np.exp(2.30 * _ES_WIDTH * (np.sqrt(1.0 - z * z) - 1.0))
+    |z| <= 1, with beta = 2.30 * _ES_WIDTH, evaluated in place: z is
+    overwritten by the kernel values and returned."""
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= 2.30 * _ES_WIDTH
+    return np.exp(z, out=z)
+
+
+@functools.lru_cache(maxsize=16)
+def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
+    """The periodic grid of both NUFFTs for Fourier indices |m| <= max_index:
+    its size m_r, the power of two >= 4 max_index (oversampling >= 2), and
+    the DFT of the kernel sampled on it at indices 0 .. m_r / 2 (read-only,
+    shared between calls)."""
+    m_r = 1 << (4 * max_index - 1).bit_length()
+    half = _ES_WIDTH // 2
+    sampled = np.zeros(m_r)
+    nodes = np.arange(-half, half + 1)
+    sampled[nodes] = _es_kernel(nodes / half)
+    kernel_dft = np.fft.rfft(sampled).real
+    kernel_dft.flags.writeable = False
+    return m_r, kernel_dft
 
 
 def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
-    """Type-1 non-uniform FFT of :func:`phase_sum` on the uniform targets u.
+    """Type-1 (spreading) non-uniform FFT of :func:`phase_sum` on the
+    uniform targets u.
 
     With u_k = u_c + m du, m = k - c, each row is the Fourier coefficients
     S(m) = sum_j w_j e^{i m du x_j} of the weights w_j = coef_j e^{i u_c x_j}.
     Real rows on targets from u_0 = 0 take c = 0, so their weights stay
     real and each row is one real stream; other rows are centred at
     c = n_u // 2 and spread as a real and an imaginary stream.  Each stream
-    is spread by the exponential-of-semicircle kernel onto a periodic grid
-    of m_r points, the power of two >= 4 max|m| (oversampling >= 2), one
-    real FFT gives the kernel-weighted coefficients, and dividing by the DFT
-    of the kernel sampled on that grid recovers S(m) (Barnett, Magland &
-    af Klinteberg, SIAM J. Sci. Comput. 41(5), 2019).  A negative sign
-    negates the sources.
+    is spread by the exponential-of-semicircle kernel onto the periodic grid
+    of :func:`_fine_grid`, one real FFT gives the kernel-weighted
+    coefficients, and dividing by the DFT of the sampled kernel recovers
+    S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5),
+    2019).  Spreading runs tap-major over blocks of _SPREAD_BLOCK sources:
+    tap tau adds one bincount per stream at offset tau, and a row of unit
+    weights spreads the kernel values themselves.  A negative sign negates
+    the sources.
     """
     x = sign * x
     rows = np.asarray(coef).reshape(-1, len(x))
@@ -181,16 +211,18 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     du = (u[-1] - u[0]) / (n_u - 1)
     centre = u[0] + c * du
     m = np.arange(n_u) - c
-    m_r = 1 << (4 * max(c, n_u - 1 - c) - 1).bit_length()
+    m_r, kernel_dft = _fine_grid(max(c, n_u - 1 - c))
     half = _ES_WIDTH // 2
-    taps = np.arange(_ES_WIDTH)
+    # one stream per real row; a real and an imaginary stream per other row
+    unit = [bool(np.all(row == 1.0)) for row in rows] if real else [False] * (2 * len(rows))
     # Source j sits at t_j = -du x_j / h grid points, h = 2 pi / m_r, so that
     # the forward FFT's e^{-i m n h} gives e^{+i m du x_j}.  Its taps are the
-    # nodes floor(t_j) - half + 1 .. floor(t_j) + half (mod m_r); node n is
-    # stored at index n + half - 1 of a grid padded by half - 1 points below
-    # node 0 and half points above node m_r - 1.
-    offsets = (taps - (half - 1)) / half
-    spread = np.zeros((len(rows) * (1 if real else 2), m_r + _ES_WIDTH - 1))
+    # nodes floor(t_j) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r);
+    # node n is stored at index n + half - 1 of a grid padded by half - 1
+    # points below node 0 and half points above node m_r - 1, so tap tau of
+    # a source whose floor(t_j) is b (mod m_r) lands at index b + tau.
+    offsets = (np.arange(_ES_WIDTH) - (half - 1)) / half
+    spread = np.zeros((len(unit), m_r + _ES_WIDTH - 1))
     for start in range(0, len(x), _SPREAD_BLOCK):
         xb = x[start:start + _SPREAD_BLOCK]
         w = rows[:, start:start + _SPREAD_BLOCK]
@@ -199,19 +231,19 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
             w = np.concatenate([w.real, w.imag])
         t = xb * (-du * m_r / (2 * np.pi))
         base = np.floor(t)
-        kern = _es_kernel(offsets - ((t - base) / half)[:, None])
-        node = ((base.astype(np.int64) & (m_r - 1))[:, None] + taps).ravel()
-        for acc, weight in zip(spread, w):
-            acc += np.bincount(node, weights=(kern * weight[:, None]).ravel(),
-                               minlength=m_r + _ES_WIDTH - 1)
+        t -= base
+        t /= half
+        node = base.astype(np.int64) & (m_r - 1)
+        for tau, offset in enumerate(offsets):
+            kern = _es_kernel(offset - t)
+            for acc, weight, is_unit in zip(spread, w, unit):
+                acc[tau:tau + m_r] += np.bincount(
+                    node, weights=kern if is_unit else kern * weight, minlength=m_r)
     # fold the overhangs onto the periodic grid of nodes 0 .. m_r - 1
     grid = spread[:, half - 1:m_r + half - 1]
     grid[:, m_r - half + 1:] += spread[:, :half - 1]
     grid[:, :half] += spread[:, m_r + half - 1:]
-    sampled = np.zeros(m_r)
-    nodes = np.arange(-half, half + 1)
-    sampled[nodes] = _es_kernel(nodes / half)
-    spec = np.fft.rfft(grid, axis=1)[:, np.abs(m)] / np.fft.rfft(sampled).real[np.abs(m)]
+    spec = np.fft.rfft(grid, axis=1)[:, np.abs(m)] / kernel_dft[np.abs(m)]
     # a real grid's transform at -m is the conjugate of that at m
     spec[:, m < 0] = np.conj(spec[:, m < 0])
     if not real:
@@ -220,23 +252,78 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     return spec.reshape(np.shape(coef)[:-1] + (n_u,))
 
 
+def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np.ndarray:
+    """Type-2 (interpolating) non-uniform FFT of :func:`phase_sum` for
+    sources on the uniform grid x, at any targets u.
+
+    With x_j = x_c + m dx, m = j - c, c = n // 2, each row is the Fourier
+    series S(u) = e^{i s u x_c} sum_m coef_m e^{i m t}, t = s u dx, s = sign.
+    The coefficients, divided by the DFT of the exponential-of-semicircle
+    kernel sampled on the periodic grid of :func:`_fine_grid`, go through
+    one complex FFT onto that grid; each target then gathers the kernel-
+    weighted values of its _ES_WIDTH nearest grid nodes, tap by tap, from a
+    copy of the grid padded by its own wrapped ends.  This is the adjoint of
+    :func:`_nufft_sum` (Barnett, Magland & af Klinteberg, 2019).
+    """
+    rows = np.asarray(coef).reshape(-1, x.n)
+    c = x.n // 2
+    m = np.arange(x.n) - c
+    m_r, kernel_dft = _fine_grid(max(c, x.n - 1 - c))
+    half = _ES_WIDTH // 2
+    fine = np.zeros((len(rows), m_r), dtype=complex)
+    fine[:, m & (m_r - 1)] = rows / kernel_dft[np.abs(m)]
+    # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r, at index
+    # n + half - 1 of the padded grid
+    grid = np.fft.ifft(fine, axis=1, norm="forward")
+    padded = np.concatenate([grid[:, m_r - half + 1:], grid, grid[:, :half]], axis=1)
+    # target k sits at t_k / h grid points; its taps are the nodes
+    # floor(t_k / h) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
+    t = u * (sign * x.spacing * m_r / (2 * np.pi))
+    base = np.floor(t)
+    t -= base
+    t /= half
+    node = base.astype(np.int64) & (m_r - 1)
+    out = np.zeros((len(rows), len(u)), dtype=complex)
+    for tau in range(_ES_WIDTH):
+        out += padded[:, node + tau] * _es_kernel((tau - (half - 1)) / half - t)
+    centre = x.lo + c * x.spacing
+    if centre != 0.0:
+        out *= np.exp(1j * sign * centre * u)
+    return out.reshape(np.shape(coef)[:-1] + (len(u),))
+
+
 def _uniform(points: np.ndarray) -> bool:
     d = np.diff(points)
     return bool(d[0] != 0 and np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0])))
 
 
-def phase_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
+def phase_sum(coef: np.ndarray, x: np.ndarray | Grid1D, u: np.ndarray,
+              sign: float = 1.0) -> np.ndarray:
     """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for every row of coef.
 
     ``coef`` is one row (length len(x)) or a stack of rows; the result has
-    one row of len(u) values per coefficient row.  More than 28 uniform
-    targets take the non-uniform FFT (``_nufft_sum``), which agrees with
-    the direct sum to about 1e-13 of sum_j |coef_j| in
-    O(len(x) * 16 + len(u) log len(u)) work.  Other targets take the
-    direct sum (``_direct_sum``, the reference path).
+    one row of len(u) values per coefficient row.  ``x`` holds the sources,
+    or is the Grid1D whose nodes they are.  The route:
+
+    - sources given as a Grid1D of more than 28 nodes take the type-2
+      (interpolating) non-uniform FFT ``_nufft_interp``, for any targets;
+    - other sources on more than 28 uniform targets take the type-1
+      (spreading) non-uniform FFT ``_nufft_sum``;
+    - everything else takes the direct sum ``_direct_sum``, the reference
+      path of both.
+
+    Both fast paths agree with the direct sum to about 1e-13 of
+    sum_j |coef_j|, in O(16 len(x) + len(u) log len(u)) work (type 1) or
+    O(len(x) log len(x) + 16 len(u)) work (type 2).  The tests pin each
+    against it at 1e-10 for both signs: type 1 in tests/test_ecf.py, type 2
+    in tests/test_grids.py.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if isinstance(x, Grid1D):
+        if x.n > 28:
+            return _nufft_interp(coef, x, u, sign)
+        x = x.nodes()
+    x = np.asarray(x, dtype=float)
     if len(u) <= 28 or not _uniform(u):
         return _direct_sum(coef, x, u, sign)
     return _nufft_sum(coef, x, u, sign)
@@ -245,7 +332,7 @@ def phase_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float = 1.0)
 def fourier_forward(f: GridFunction, u_grid: Grid1D) -> GridFunction:
     """F(u) = integral exp(i u x) f(x) dx by trapezoid quadrature on f's grid."""
     coef = trapezoid_weights(f.grid) * f.values
-    return GridFunction(u_grid, phase_sum(coef, f.grid.nodes(), u_grid.nodes()))
+    return GridFunction(u_grid, phase_sum(coef, f.grid, u_grid.nodes()))
 
 
 def _inverse_sum(F: GridFunction, x: np.ndarray) -> np.ndarray:
@@ -256,7 +343,7 @@ def _inverse_sum(F: GridFunction, x: np.ndarray) -> np.ndarray:
             f"inverse transform requires a symmetric u-grid, got [{F.grid.lo}, {F.grid.hi}]"
         )
     coef = trapezoid_weights(F.grid) * F.values / (2.0 * np.pi)
-    return phase_sum(coef, F.grid.nodes(), x, -1.0)
+    return phase_sum(coef, F.grid, x, -1.0)
 
 
 def fourier_inverse_truncated(F: GridFunction, x_grid: Grid1D) -> tuple[GridFunction, float]:

@@ -181,12 +181,18 @@ def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
                     x_grid: Grid1D) -> GridFunction:
     """Truncated fixed-point series applied to an estimate (or exact
     evaluation) of g1; off-grid GridFunction arguments use linear
-    interpolation with zero extension."""
+    interpolation with zero extension.
+
+    g1_eval is called once, on the points scale * x of every term in turn,
+    so that an estimate evaluated by one transform shares it across terms.
+    """
     plan = build_series_plan(kernel, h, n_trunc)
     x = x_grid.nodes()
+    rows = plan.grouped_terms()
+    g1 = np.asarray(g1_eval(np.concatenate([scale * x for scale, *_ in rows])), dtype=float)
     out = np.zeros(len(x))
-    for scale, w, sign, _depth in plan.grouped_terms():
-        out += sign * w * h.ratio(scale) * np.asarray(g1_eval(scale * x), dtype=float)
+    for (scale, w, sign, _depth), g1_scaled in zip(rows, g1.reshape(len(rows), len(x))):
+        out += sign * w * h.ratio(scale) * g1_scaled
     return GridFunction(x_grid, out)
 
 

@@ -137,9 +137,8 @@ class JumpLaw:
             return np.exp(1j * self.mean_ * u - 0.5 * self.sd_ ** 2 * u ** 2)
         if self.kind == "exponential":
             return self.rate_ / (self.rate_ - 1j * u)
-        nodes = self.density_.grid.nodes()
         w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
-        return phase_sum(w, nodes, u.ravel()).reshape(u.shape)
+        return phase_sum(w, self.density_.grid, u.ravel()).reshape(u.shape)
 
     def char_fn_deriv(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -149,7 +148,7 @@ class JumpLaw:
             return 1j * self.rate_ / (self.rate_ - 1j * u) ** 2
         nodes = self.density_.grid.nodes()
         w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
-        return phase_sum(1j * nodes * w, nodes, u.ravel()).reshape(u.shape)
+        return phase_sum(1j * nodes * w, self.density_.grid, u.ravel()).reshape(u.shape)
 
     def raw_moment(self, r: int) -> float:
         """E[J^r] of the normalised jump distribution."""
@@ -260,11 +259,6 @@ class WeightH:
         if self.signed:
             return x ** int(round(self.beta))
         return np.abs(x) ** self.beta
-
-    def s(self, y: float) -> float:
-        if y == 0:
-            raise InvalidInputError("s(y) defined for y != 0")
-        return abs(y) ** (-self.beta)
 
     def ratio(self, c: float) -> float:
         """h(x) / h(c x), which is constant in x for power weights."""

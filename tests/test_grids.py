@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levyfield import grids
 from levyfield.errors import GridMismatchError, InvalidInputError
 from levyfield.grids import (
     Grid1D,
     _direct_sum,
+    _nufft_interp,
     GridFunction,
     convolve,
     fourier_forward,
@@ -163,6 +165,51 @@ class TestFourierInverse:
         scattered = np.array([0.3, -1.7, 2.2])
         assert np.allclose(inverse_transform_at(F, scattered),
                            _direct_sum(coef, F.grid.nodes(), scattered, -1.0).real)
+
+
+class TestInterpolatingNufft:
+    @pytest.mark.parametrize("targets", ["uniform", "scattered", "concatenated"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @given(n=st.integers(29, 700), lo=st.floats(-50.0, 10.0), dx=st.floats(1e-3, 0.2),
+           n_u=st.integers(0, 400), reach=st.floats(0.1, 300.0),
+           sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=29, lo=-1.0, dx=0.1, n_u=29, reach=1.0, sign=1.0, seed=0)
+    @example(n=30, lo=-1.0, dx=0.1, n_u=29, reach=1.0, sign=-1.0, seed=0)
+    @example(n=4097, lo=-np.pi, dx=np.pi / 2048, n_u=300, reach=101.0, sign=-1.0, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_direct_sum(self, targets, stacked, n, lo, dx, n_u, reach, sign, seed):
+        # uniform sources of either parity from 29 nodes up; uniform targets
+        # from a random start, scattered targets, and the concatenation of
+        # scaled copies of a grid that the plug-in series evaluates
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(lo, lo + dx * (n - 1), n)
+        if targets == "uniform":
+            u = rng.uniform(-reach, reach) + np.linspace(0.0, reach, n_u)
+        elif targets == "scattered":
+            u = rng.uniform(-reach, reach, n_u)
+        else:
+            x = np.linspace(-reach, reach, n_u)
+            u = np.concatenate([s * x for s in (1.0, -0.35, 2.5)])
+        shape = (3, n) if stacked else (n,)
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        fast = _nufft_interp(coef, grid, u, sign)
+        ref = _direct_sum(coef, grid.nodes(), u, sign)
+        assert fast.shape == ref.shape
+        err = np.max(np.abs(fast - ref), axis=-1, initial=0.0)
+        assert np.all(err <= 1e-10 * np.sum(np.abs(coef), axis=-1))
+
+    def test_scattered_targets_take_the_fast_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("direct sum reached")
+
+        F = GridFunction.from_callable(symmetric_grid(np.pi, 4097),
+                                       lambda u: np.exp(-0.5 * u ** 2) + 0j)
+        points = np.random.default_rng(5).uniform(-101.0, 101.0, 6144)
+        coef = trapezoid_weights(F.grid) * F.values / (2 * np.pi)
+        ref = _direct_sum(coef, F.grid.nodes(), points, -1.0).real
+        monkeypatch.setattr(grids, "_direct_sum", refuse)
+        err = np.max(np.abs(inverse_transform_at(F, points) - ref))
+        assert err <= 1e-10 * np.sum(np.abs(coef))
 
 
 class TestPlancherel:

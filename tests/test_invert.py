@@ -201,6 +201,25 @@ class TestPluginEstimate:
         est_gf = plugin_estimate(g1_grid, bench_kernel, h_linear, 1, grid)
         assert np.max(np.abs(est_fn.values - est_gf.values)) < 1e-3
 
+    def test_one_g1_call_equals_term_loop(self, bench_kernel, h_linear):
+        g1 = forward_g_transform(g0_gauss, bench_kernel, h_linear)
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return g1(pts)
+
+        grid = symmetric_grid(6.0, 513)
+        est = plugin_estimate(counted, bench_kernel, h_linear, 2, grid)
+        rows = build_series_plan(bench_kernel, h_linear, 2).grouped_terms()
+        assert calls == [len(rows) * grid.n] and len(rows) > 1
+        # the per-term loop, one g1 call per series term
+        x = grid.nodes()
+        loop = np.zeros(grid.n)
+        for scale, w, sign, _depth in rows:
+            loop += sign * w * h_linear.ratio(scale) * g1(scale * x)
+        assert np.array_equal(est.values, loop)
+
 
 class TestPluginErrorBound:
     def test_zero_error_infinite_depth_vanishes(self):

@@ -112,10 +112,6 @@ class TestSimpleKernel:
 
 
 class TestWeightH:
-    def test_envelope_closed_form(self):
-        h = WeightH(beta=1.5)
-        assert h.s(2.0) == pytest.approx(2.0 ** -1.5)
-
     def test_signed_requires_integer(self):
         with pytest.raises(InvalidInputError):
             WeightH(beta=1.5, signed=True)
