@@ -43,6 +43,9 @@ __all__ = [
     "fourier_error_bound",
 ]
 
+# most points one g1_eval call of plugin_estimate is given
+_G1_CALL_POINTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -183,16 +186,22 @@ def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
     evaluation) of g1; off-grid GridFunction arguments use linear
     interpolation with zero extension.
 
-    g1_eval is called once, on the points scale * x of every term in turn,
-    so that an estimate evaluated by one transform shares it across terms.
+    g1_eval is called on the points scale * x of as many terms in turn as
+    fit in _G1_CALL_POINTS points (at least one term), so that an estimate
+    evaluated by one transform shares it across terms while the points of
+    one call stay bounded whatever the series depth.
     """
     plan = build_series_plan(kernel, h, n_trunc)
     x = x_grid.nodes()
     rows = plan.grouped_terms()
-    g1 = np.asarray(g1_eval(np.concatenate([scale * x for scale, *_ in rows])), dtype=float)
+    per_call = max(1, _G1_CALL_POINTS // len(x))
     out = np.zeros(len(x))
-    for (scale, w, sign, _depth), g1_scaled in zip(rows, g1.reshape(len(rows), len(x))):
-        out += sign * w * h.ratio(scale) * g1_scaled
+    for start in range(0, len(rows), per_call):
+        chunk = rows[start:start + per_call]
+        g1 = np.asarray(g1_eval(np.concatenate([scale * x for scale, *_ in chunk])),
+                        dtype=float)
+        for (scale, w, sign, _depth), g1_scaled in zip(chunk, g1.reshape(len(chunk), len(x))):
+            out += sign * w * h.ratio(scale) * g1_scaled
     return GridFunction(x_grid, out)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfield import invert
 from levyfield.errors import BoundInapplicableError, CoverageError, ResourceLimitError
 from levyfield.grids import GridFunction, l2_norm, symmetric_grid
 from levyfield.model import SimpleKernel, WeightH, e_factor, forward_g_transform
@@ -218,6 +219,29 @@ class TestPluginEstimate:
         loop = np.zeros(grid.n)
         for scale, w, sign, _depth in rows:
             loop += sign * w * h_linear.ratio(scale) * g1(scale * x)
+        assert np.array_equal(est.values, loop)
+
+    def test_deep_plan_bounds_points_per_g1_call(self, bench_kernel, h_linear):
+        # 1 + 10 * 13 / 2 = 66 terms of 4097 points need two calls under
+        # the 2^18-point cap; the split leaves the sum's order unchanged
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return g0_gauss(pts)
+
+        grid = symmetric_grid(6.0, 4097)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est = plugin_estimate(counted, bench_kernel, h_linear, 10, grid)
+            rows = build_series_plan(bench_kernel, h_linear, 10).grouped_terms()
+        assert len(rows) == 66
+        assert len(calls) == 2 and sum(calls) == len(rows) * grid.n
+        assert max(calls) <= invert._G1_CALL_POINTS
+        x = grid.nodes()
+        loop = np.zeros(grid.n)
+        for scale, w, sign, _depth in rows:
+            loop += sign * w * h_linear.ratio(scale) * g0_gauss(scale * x)
         assert np.array_equal(est.values, loop)
 
 
