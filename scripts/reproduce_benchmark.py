@@ -3,7 +3,8 @@
 
 Runs all six (jump law, method) cells with the benchmark parameters and
 prints mean/sd of the per-replication squared L2 errors next to the
-published reference values.  Writes one results CSV per cell.
+published reference values, then the total wall time of the six cells.
+Writes one results CSV per cell.
 
 Usage:
     python scripts/reproduce_benchmark.py [--reps 20] [--outdir results]
@@ -29,6 +30,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"{'law':12s} {'method':8s} {'mean MSE':>12s} {'sd':>10s} "
           f"{'reference':>12s} {'ratio':>7s} {'time':>7s}")
+    t_start = time.perf_counter()
     for law in ("gaussian", "exponential"):
         for method in ("fourier", "plugin", "onb"):
             cfg = section7_config(law, method, reps=args.reps, master_seed=args.seed)
@@ -42,6 +44,7 @@ def main():
                           extra={"mean_mse": result.mean, "sd_mse": result.sd})
             print(f"{law:12s} {method:8s} {result.mean:12.4e} {result.sd:10.2e} "
                   f"{ref:12.4e} {result.mean / ref:7.2f} {elapsed:6.1f}s")
+    print(f"total wall time for the six cells: {time.perf_counter() - t_start:.2f}s")
 
 
 if __name__ == "__main__":

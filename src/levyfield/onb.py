@@ -21,6 +21,7 @@ cannot reach the orthonormality tolerances with discontinuous bases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +156,25 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     Gram-Schmidt is the QR factorisation of the sqrt(dx)-scaled samples,
     signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
     norm raises a degeneracy error.
+
+    The system depends on nothing but the arguments, so the last
+    _ETA_SYSTEMS systems are kept and handed, with read-only arrays, to
+    later calls with the same basis, weight and kernel (coefficients,
+    offsets and pivot); a call that raises keeps nothing.
     """
+    return _eta_system(basis, h, kernel.pivot_value, kernel.coeffs.tobytes(),
+                       kernel.offsets.tobytes(), kernel.d)
+
+
+_ETA_SYSTEMS = 8
+
+
+@functools.lru_cache(maxsize=_ETA_SYSTEMS)
+def _eta_system(basis: HaarBasis, h: WeightH, pivot_value: float | None,
+                coeffs: bytes, offsets: bytes, d: int) -> EtaSystem:
+    # the kernel arrives as the bytes of its arrays, which makes it a cache key
+    kernel = SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d),
+                          pivot_value)
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):
@@ -176,9 +195,11 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
             f"eta_{np.argmax(small) + 1} is numerically dependent on its predecessors"
         )
     sign = np.sign(np.diag(mix))[:, None]
+    e_values, mix = sign * q.T / np.sqrt(basis.dx), sign * mix
+    for arr in (eta, e_values, mix):
+        arr.flags.writeable = False
     return EtaSystem(basis=basis, pivot_value=pivot, n1=n1, h=h, e_contraction=e,
-                     eta_values=eta, e_values=sign * q.T / np.sqrt(basis.dx),
-                     mix=sign * mix)
+                     eta_values=eta, e_values=e_values, mix=mix)
 
 
 def _g1bar(g1_eval, pivot: float, h: WeightH, x: np.ndarray) -> np.ndarray:

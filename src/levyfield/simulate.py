@@ -31,8 +31,7 @@ from .errors import InvalidInputError
 from .grids import _check_budget
 from .model import JumpLaw, SimpleKernel
 
-__all__ = ["SeedSpec", "GridSample", "sample_cp_cell", "sample_field",
-           "write_sample_csv", "read_sample_csv"]
+__all__ = ["SeedSpec", "GridSample", "sample_field", "write_sample_csv", "read_sample_csv"]
 
 
 @dataclass(frozen=True)
@@ -94,13 +93,6 @@ def _cp_sums(law: JumpLaw, sizes: np.ndarray, rng: np.random.Generator) -> np.nd
     sums = np.add.reduceat(jumps, edges[:-1][nonzero])
     out[nonzero] = sums
     return out
-
-
-def sample_cp_cell(law: JumpLaw, volume: float, rng: np.random.Generator) -> float:
-    """One draw of Lambda(cell): Poisson(volume * mass) many i.i.d. jumps."""
-    if volume <= 0:
-        raise InvalidInputError("cell volume must be positive")
-    return float(_cp_sums(law, np.array([volume]), rng)[0])
 
 
 def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyfield import bench, onb
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
@@ -18,7 +20,8 @@ from levyfield.bench import (
 )
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
-from levyfield.errors import ConfigError
+from levyfield.errors import ConfigError, PreconditionError
+from levyfield.simulate import SeedSpec, sample_field
 
 
 def small_cfg(**over):
@@ -127,6 +130,120 @@ class TestPipeline:
         from levyfield.errors import PreconditionError
         with pytest.raises(PreconditionError, match=r"\[stage onb\]"):
             run_pipeline(cfg, rep=0)
+
+
+METHODS = ("plugin", "fourier", "onb")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Empty sample and ECF entries, and the number of calls run_pipeline
+    makes to sample_field and compute_ecf."""
+    monkeypatch.setattr(bench, "_last_sample", bench._LastValue())
+    monkeypatch.setattr(bench, "_last_ecf", bench._LastValue())
+    calls = dict.fromkeys(("sample_field", "compute_ecf"), 0)
+    for name in calls:
+        def spy(*args, _fn=getattr(bench, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bench, name, spy)
+    return calls
+
+
+def fresh_estimate(cfg, rep, sample=None):
+    """The estimate of a run_pipeline call that finds nothing computed
+    before it; the shared entries are put back afterwards."""
+    saved = bench._last_sample, bench._last_ecf
+    bench._last_sample, bench._last_ecf = bench._LastValue(), bench._LastValue()
+    onb._eta_system.cache_clear()
+    try:
+        return run_pipeline(cfg, rep, sample=sample).estimate.values
+    finally:
+        bench._last_sample, bench._last_ecf = saved
+
+
+class TestSharing:
+    def test_methods_of_one_replication_share_sample_and_ecf(self, counted):
+        cfgs = [section7_config("gaussian", m, window=[40, 40]) for m in METHODS]
+        outs = [run_pipeline(cfg, 3) for cfg in cfgs]
+        # onb runs at l = 4.5, so it needs an ECF of its own
+        assert counted == {"sample_field": 1, "compute_ecf": 2}
+        for cfg, out in zip(cfgs, outs):
+            assert np.array_equal(out.estimate.values, fresh_estimate(cfg, 3))
+
+    def test_repeated_method_computes_afresh(self, counted):
+        # an untraced and a traced run of one op must both do the whole work
+        cfg = small_cfg()
+        first = run_pipeline(cfg, 0).estimate.values
+        assert np.array_equal(run_pipeline(cfg, 0).estimate.values, first)
+        assert counted == {"sample_field": 2, "compute_ecf": 2}
+
+    @pytest.mark.parametrize("change,simulates", [
+        ({"kernel": {"coeffs": [1.4, 0.2, 0.1, 0.1],
+                     "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]}}, 1),
+        ({"jump_law": {"kind": "gaussian", "mean": 0.0, "sd": 1.5}}, 1),
+        ({"window": [40, 41]}, 1),
+        ({"mesh": 2.0}, 1),
+        ({"master_seed": 78}, 1),
+        ({"rep": 1}, 1),
+        ({"l": 1.5}, 0),
+    ], ids=["kernel", "law", "window", "mesh", "seed", "rep", "l"])
+    def test_changed_input_is_computed_afresh(self, counted, change, simulates):
+        # another method, which would take the entry over if nothing had changed
+        change = dict(change)
+        rep = change.pop("rep", 0)
+        run_pipeline(small_cfg(method="plugin"), 0)
+        cfg = small_cfg(**change)
+        counted.update(sample_field=0, compute_ecf=0)
+        est = run_pipeline(cfg, rep).estimate.values
+        assert counted == {"sample_field": simulates, "compute_ecf": 1}
+        assert np.array_equal(est, fresh_estimate(cfg, rep))
+
+    def test_given_sample_neither_reads_nor_fills(self, counted):
+        cfg = small_cfg()
+        first = run_pipeline(cfg, 0).estimate.values
+        other = sample_field(cfg.kernel_obj(), cfg.law_obj(), (40, 40), SeedSpec(5))
+        est = run_pipeline(cfg, 0, sample=other).estimate.values
+        assert not np.array_equal(est, first)
+        assert np.array_equal(est, fresh_estimate(cfg, 0, sample=other))
+        # plug-in takes over the ECF that the first fourier call left
+        counted.update(sample_field=0, compute_ecf=0)
+        plugin = cfg.with_overrides(method="plugin")
+        est = run_pipeline(plugin, 0).estimate.values
+        assert counted == {"sample_field": 0, "compute_ecf": 0}
+        assert np.array_equal(est, fresh_estimate(plugin, 0))
+
+    def test_shared_arrays_are_read_only(self, counted):
+        cfg = small_cfg(method="onb", l=4.5, bandwidth=0.7)
+        run_pipeline(cfg, 0)
+        _, ecf, _ = bench._last_ecf.entry
+        with pytest.raises(ValueError):
+            ecf.psi_hat[0] = 0.0
+        args = (onb.HaarBasis(cfg.A, cfg.haar_levels, cfg.m), cfg.kernel_obj(), cfg.weight_obj())
+        system = onb.build_eta(*args)
+        assert onb.build_eta(*args) is system
+        with pytest.raises(ValueError):
+            system.mix[0, 0] = 0.0
+
+    def test_refused_eta_system_raises_every_call(self):
+        kernel = small_cfg(kernel={"coeffs": [1.0, -1.0], "offsets": [[0, 0], [1, 1]]}).kernel_obj()
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                onb.build_eta(onb.HaarBasis(6.0, 2, 7), kernel, small_cfg().weight_obj())
+
+    def test_threads_see_their_own_inputs(self):
+        jobs = [(small_cfg(method=m, window=[20, 20], l=4.5 if m == "onb" else 1.0), rep)
+                for rep in range(4) for m in METHODS]
+        expected = [fresh_estimate(cfg, rep) for cfg, rep in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outs = list(pool.map(lambda job: run_pipeline(*job), jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, out in zip(expected, outs):
+            assert np.array_equal(out.estimate.values, want)
 
 
 class TestDeterminism:

@@ -13,8 +13,8 @@ from levyfield.model import SimpleKernel, field_char_fn, field_moments
 from levyfield.simulate import (
     GridSample,
     SeedSpec,
+    _cp_sums,
     read_sample_csv,
-    sample_cp_cell,
     sample_field,
     write_sample_csv,
 )
@@ -22,29 +22,26 @@ from levyfield.ecf import compute_ecf
 
 
 class TestCpCell:
+    # _cp_sums draws the cells of sample_field: one compound Poisson sum per cell size
     def test_tiny_volume_is_almost_surely_zero(self, gaussian_law):
         rng = SeedSpec(1).replication_rng(0)
-        draws = np.array([sample_cp_cell(gaussian_law, 1e-9, rng) for _ in range(100_000)])
+        draws = _cp_sums(gaussian_law, np.full(100_000, 1e-9), rng)
         frac = np.mean(draws != 0)
         assert frac < 1e-6 + 3 * np.sqrt(1e-9)
 
     def test_exponential_mean_wald(self, exponential_law):
         # E = volume * mass * E[jump] = 1
         rng = SeedSpec(2).replication_rng(0)
-        draws = np.array([sample_cp_cell(exponential_law, 1.0, rng) for _ in range(20_000)])
+        draws = _cp_sums(exponential_law, np.ones(20_000), rng)
         sd = draws.std(ddof=1)
         assert abs(draws.mean() - 1.0) <= 3 * sd / np.sqrt(len(draws))
 
     def test_gaussian_cp_moments(self, gaussian_law):
         rng = SeedSpec(3).replication_rng(0)
-        draws = np.array([sample_cp_cell(gaussian_law, 1.0, rng) for _ in range(20_000)])
+        draws = _cp_sums(gaussian_law, np.ones(20_000), rng)
         n = len(draws)
         assert abs(draws.mean()) <= 3 / np.sqrt(n)  # var = lambda E[J^2] = 1
         assert abs(draws.var() - 1.0) <= 3 * np.sqrt(6.0 / n)
-
-    def test_invalid_volume(self, gaussian_law):
-        with pytest.raises(InvalidInputError):
-            sample_cp_cell(gaussian_law, 0.0, SeedSpec(1).replication_rng(0))
 
 
 class TestSampleField:
