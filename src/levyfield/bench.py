@@ -239,8 +239,10 @@ def run_bench(cfg: ExperimentConfig, workers: int = 1,
 
     Replications carry independent seed substreams, so the result is
     bit-identical for any worker count; outputs are ordered by
-    replication index.
+    replication index.  A worker count below 1 raises ConfigError.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     reps = int(cfg.reps)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -298,22 +300,25 @@ def emit_manifest(path, cfg: ExperimentConfig, extra: dict | None = None) -> Non
 # validation suites
 
 
-def validate_appendix_rates(cfg: ExperimentConfig, sides: list[int] | None = None,
-                            reps: int = 200, u: float = 1.0) -> dict:
+def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
     """Monte Carlo rates of the ecf moment bounds on the configured field.
 
-    Estimates E|psi_hat - psi|^2 and E|theta_hat - theta|^4 at a fixed
-    frequency over windows of growing size and fits log-log slopes; the
-    moment bounds predict slopes -1 and -2 respectively.
+    Estimates E|psi_hat - psi|^2 and E|theta_hat - theta|^4 at u = 1 over
+    ``reps`` replications per window, on five windows of growing size
+    derived from d, and fits log-log slopes; the moment bounds predict
+    slopes -1 and -2 respectively.  Fewer than one replication raises
+    ConfigError.
     """
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     if reps < 50:
         warnings.warn(f"{reps} replications is a thin Monte Carlo basis "
                       "for rate fitting (need >= 50)", RuntimeWarning)
     kernel = cfg.kernel_obj()
     law = cfg.law_obj()
     d = int(cfg.d)
-    if sides is None:
-        sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
+    sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
+    u = 1.0
     seeds = cfg.seed_spec()
     psi_true = complex(field_char_fn(kernel, law, np.array([u]))[0])
     theta_true = complex(field_theta(kernel, law, np.array([u]))[0])

@@ -76,7 +76,7 @@ def _cmd_validate(args) -> int:
     if args.suite == "appendix-rates":
         cfg = (ExperimentConfig.from_json(args.config) if args.config
                else ExperimentConfig())
-        rep = bench.validate_appendix_rates(cfg, reps=args.reps or 200)
+        rep = bench.validate_appendix_rates(cfg, reps=200 if args.reps is None else args.reps)
         print(f"{'N':>8s} {'E|psi_err|^2':>14s} {'E|theta_err|^4':>16s}")
         for n, e2, e4 in zip(rep["n"], rep["mean_sq_psi_err"], rep["mean_quart_theta_err"]):
             print(f"{n:8d} {e2:14.4e} {e4:16.4e}")

@@ -97,7 +97,7 @@ class ExperimentConfig:
         extra = set(c.jump_law) - _LAW_KEYS[kind]
         if extra:
             raise ConfigError(f"unknown jump_law keys for {kind}: {sorted(extra)}")
-        for name, lo in (("d", 1), ("beta", 0), ("n_N", 0), ("grid_points", 1),
+        for name, lo in (("d", 1), ("beta", 0), ("n_N", 0), ("grid_points", 2),
                          ("haar_levels", 0), ("m", 1), ("reps", 1), ("master_seed", 0)):
             val = getattr(c, name)
             if not _is_int(val) or val < lo:

@@ -32,7 +32,6 @@ from .errors import CoverageError, DivergentBoundError, InvalidInputError
 from .grids import (
     Grid1D,
     GridFunction,
-    fourier_inverse_truncated,
     inverse_transform_at,
     phase_sum,
     symmetric_grid,
@@ -46,7 +45,6 @@ __all__ = [
     "compute_ecf",
     "stabilize",
     "fourier_g1_hat",
-    "g1_hat",
     "g1_hat_at",
     "select_cutoff",
     "theorem_bound_g1",
@@ -123,14 +121,6 @@ def _restrict_symmetric(F: GridFunction, cutoff: float) -> GridFunction:
     sel = np.where(mask)[0]
     sub = Grid1D(u[sel[0]], u[sel[-1]], len(sel))
     return GridFunction(sub, F.values[sel])
-
-
-def g1_hat(ecf: EcfEstimate, l: float, x_grid: Grid1D) -> tuple[GridFunction, float]:
-    """Cutoff estimator of g1 on x_grid, plus the imaginary residue."""
-    if l <= 0:
-        raise InvalidInputError("cutoff l must be positive")
-    F = _restrict_symmetric(fourier_g1_hat(ecf), np.pi * l)
-    return fourier_inverse_truncated(F, x_grid)
 
 
 def g1_hat_at(ecf: EcfEstimate, l: float, points: np.ndarray) -> np.ndarray:

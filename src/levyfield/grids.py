@@ -86,8 +86,9 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
-    def is_symmetric(self, rel_tol: float = 1e-9) -> bool:
-        return abs(self.lo + self.hi) <= rel_tol * (self.hi - self.lo)
+    def is_symmetric(self) -> bool:
+        """lo = -hi within 1e-9 of the grid's width."""
+        return abs(self.lo + self.hi) <= 1e-9 * (self.hi - self.lo)
 
 
 def symmetric_grid(half_width: float, n: int) -> Grid1D:
@@ -126,10 +127,6 @@ class GridFunction:
             im = np.interp(x, nodes, self.values.imag, left=0.0, right=0.0)
             return re + 1j * im
         return np.interp(x, nodes, self.values, left=0.0, right=0.0)
-
-    @staticmethod
-    def from_callable(grid: Grid1D, fn) -> "GridFunction":
-        return GridFunction(grid, np.asarray(fn(grid.nodes())))
 
 
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:

@@ -45,6 +45,8 @@ __all__ = [
 
 # most points one g1_eval call of plugin_estimate is given
 _G1_CALL_POINTS = 1 << 18
+# most grouped terms build_series_plan builds
+_TERM_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -133,12 +135,12 @@ def _compositions(total: int, parts: int):
             yield (head, *rest)
 
 
-def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
-                      term_budget: int = 200_000) -> SeriesPlan:
+def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesPlan:
     """Group the raw multi-index series by multisets of non-pivot values.
 
     Term count is sum_j C(j + g - 1, g - 1) with g the number of distinct
-    non-pivot values, versus (n - n1)^j raw tuples.
+    non-pivot values, versus (n - n1)^j raw tuples; a plan of more than
+    _TERM_BUDGET terms raises ResourceLimitError.
     """
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
@@ -161,9 +163,9 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int,
     terms = [SeriesTerm(depth=0, product=1.0, count=1.0, multiplicities=(0,) * g)]
     if g > 0:
         budget = sum(math.comb(j + g - 1, g - 1) for j in range(1, n_trunc + 1))
-        if budget > term_budget:
+        if budget > _TERM_BUDGET:
             raise ResourceLimitError(
-                f"grouped series needs {budget} terms (> {term_budget}); "
+                f"grouped series needs {budget} terms (> {_TERM_BUDGET}); "
                 f"reduce n_N below {n_trunc}"
             )
         for j in range(1, n_trunc + 1):

@@ -25,7 +25,7 @@ whose trapezoid sums go through :func:`grids.phase_sum`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -83,19 +83,21 @@ class JumpLaw:
     # -- constructors
 
     @staticmethod
-    def gaussian(mean: float = 0.0, sd: float = 1.0, mass: float = 1.0) -> "JumpLaw":
+    def gaussian(mean: float = 0.0, sd: float = 1.0) -> "JumpLaw":
         if sd <= 0:
             raise InvalidInputError("gaussian law needs sd > 0")
-        return JumpLaw("gaussian", mass=mass, mean_=mean, sd_=sd)
+        return JumpLaw("gaussian", mean_=mean, sd_=sd)
 
     @staticmethod
-    def exponential(rate: float = 1.0, mass: float = 1.0) -> "JumpLaw":
+    def exponential(rate: float = 1.0) -> "JumpLaw":
         if rate <= 0:
             raise InvalidInputError("exponential law needs rate > 0")
-        return JumpLaw("exponential", mass=mass, rate_=rate)
+        return JumpLaw("exponential", rate_=rate)
 
     @staticmethod
-    def tabulated(density: GridFunction, mass: float | None = None) -> "JumpLaw":
+    def tabulated(density: GridFunction) -> "JumpLaw":
+        """The law whose Levy density is the table, with the table's
+        trapezoid integral as its mass."""
         vals = np.asarray(density.values, dtype=float)
         if np.any(vals < -1e-12):
             raise InvalidInputError("tabulated density must be nonnegative")
@@ -104,12 +106,7 @@ class JumpLaw:
         total = float(np.sum(trapezoid_weights(density.grid) * vals))
         if total <= 0:
             raise InvalidInputError("tabulated density has zero mass")
-        if mass is None:
-            mass = total
-        else:
-            # rescale the table so it integrates to the requested mass
-            density = GridFunction(density.grid, vals * (mass / total))
-        return JumpLaw("tabulated", mass=mass, density_=density)
+        return JumpLaw("tabulated", mass=total, density_=density)
 
     # -- basic evaluations; pdf refers to the (unnormalised) Levy density
 
@@ -227,8 +224,6 @@ class LevyTriplet:
     def __post_init__(self):
         if self.b < 0:
             raise InvalidInputError("gaussian variance b must be >= 0")
-        if isinstance(self.v, GridFunction):
-            object.__setattr__(self, "v", JumpLaw.tabulated(self.v))
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +289,11 @@ class SimpleKernel:
     ``offsets`` holds the integer lattice corner of each cell
     cell_k = offset_k + [0,1)^d, so every cell has volume 1 and the forward
     maps read a1 = sum_k U(f_k), b1 = b0 sum_k f_k^2 and
-    v1(x) = sum_k v0(x / f_k) / |f_k|.  ``pivot_value`` optionally fixes
-    the pivot group; by default the group minimising the contraction
-    factor is used.
+    v1(x) = sum_k v0(x / f_k) / |f_k|.
     """
 
     coeffs: np.ndarray
     offsets: np.ndarray
-    pivot_value: float | None = None
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -346,12 +338,11 @@ class SimpleKernel:
         largest |f|.
         """
         groups = self.groups()
-        want = pivot_value if pivot_value is not None else self.pivot_value
-        if want is not None:
+        if pivot_value is not None:
             for v, idx in groups:
-                if abs(v - want) <= max(_SNAP_RTOL * max(abs(v), abs(want)), 0.0):
+                if abs(v - pivot_value) <= max(_SNAP_RTOL * max(abs(v), abs(pivot_value)), 0.0):
                     return v, idx, len(idx)
-            raise InvalidInputError(f"pivot value {want} matches no coefficient group")
+            raise InvalidInputError(f"pivot value {pivot_value} matches no coefficient group")
         if h is None:
             h = WeightH(beta=1.0)
         best = None
@@ -363,13 +354,10 @@ class SimpleKernel:
         _, v, idx = best
         return v, idx, len(idx)
 
-    def with_pivot(self, pivot_value: float) -> "SimpleKernel":
-        return replace(self, pivot_value=pivot_value)
-
-    def sum_f_vol(self) -> float:
+    def sum_f(self) -> float:
         return float(np.sum(self.coeffs))
 
-    def sum_f2_vol(self) -> float:
+    def sum_f2(self) -> float:
         return float(np.sum(self.coeffs ** 2))
 
 
@@ -414,7 +402,7 @@ def forward_gaussian(kernel: SimpleKernel, b0: float) -> float:
     """b1 = b0 sum_k f_k^2."""
     if b0 < 0:
         raise InvalidInputError("b0 must be >= 0")
-    return b0 * kernel.sum_f2_vol()
+    return b0 * kernel.sum_f2()
 
 
 def forward_levy_density(kernel: SimpleKernel, v0):
@@ -453,11 +441,11 @@ def recover_a0_b0(kernel: SimpleKernel, a1: float, b1: float,
     independent of a0, so a1 = a0 sum f_k + sum f_k I_k is linear in a0;
     it is singular when sum f_k = 0.
     """
-    s2 = kernel.sum_f2_vol()
+    s2 = kernel.sum_f2()
     if s2 <= 0:
         raise InvalidInputError("sum f_k^2 must be positive")
     b0 = b1 / s2
-    s1 = kernel.sum_f_vol()
+    s1 = kernel.sum_f()
     if abs(s1) < 1e-14 * float(np.sum(np.abs(kernel.coeffs))):
         raise SingularRecoveryError("sum f_k = 0: drift not identifiable from a1 by this route")
     a0 = (a1 - forward_drift(kernel, 0.0, v0)) / s1

@@ -47,31 +47,34 @@ __all__ = [
     "onb_error_bound",
 ]
 
+# cells of the midpoint discretisation before rounding to whole dyadic blocks
+_N_CELLS = 2048
+
 
 @dataclass(frozen=True)
 class HaarBasis:
     """First ``m`` Haar functions on [-A, A].
 
     Ordering: scaling function, then wavelets by (level asc, shift asc);
-    levels 0..J provide 2^(J+1) functions in total.  ``n_cells`` controls
-    the midpoint discretisation and is rounded up to a multiple of
-    2^(J+1) so every dyadic breakpoint is a cell boundary.
+    levels 0..J provide 2^(J+1) functions in total.  The midpoint
+    discretisation has ``n_cells`` cells: _N_CELLS rounded up to a
+    multiple of 2^(J+1), so every dyadic breakpoint is a cell boundary.
     """
 
     A: float
     levels: int
     m: int
-    n_cells: int = 2048
+    n_cells: int = field(init=False)
 
     def __post_init__(self):
         if self.A <= 0:
             raise InvalidInputError("half-width A must be positive")
         if self.levels < 0:
             raise InvalidInputError("levels must be >= 0")
-        # n_cells rounds up to whole blocks of 2^(levels+1) cells; past 63
+        # _N_CELLS rounds up to whole blocks of 2^(levels+1) cells; past 63
         # levels any block exceeds the budget, so the power is capped there
         block = 2 ** min(self.levels + 1, 64)
-        cells = int(-(-self.n_cells // block) * block)
+        cells = int(-(-_N_CELLS // block) * block)
         _check_budget(cells, "Haar cells")
         if not 1 <= self.m <= block:
             raise InvalidInputError(
@@ -159,22 +162,20 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
 
     The system depends on nothing but the arguments, so the last
     _ETA_SYSTEMS systems are kept and handed, with read-only arrays, to
-    later calls with the same basis, weight and kernel (coefficients,
-    offsets and pivot); a call that raises keeps nothing.
+    later calls with the same basis, weight and kernel (coefficients and
+    offsets); a call that raises keeps nothing.
     """
-    return _eta_system(basis, h, kernel.pivot_value, kernel.coeffs.tobytes(),
-                       kernel.offsets.tobytes(), kernel.d)
+    return _eta_system(basis, h, kernel.coeffs.tobytes(), kernel.offsets.tobytes(), kernel.d)
 
 
 _ETA_SYSTEMS = 8
 
 
 @functools.lru_cache(maxsize=_ETA_SYSTEMS)
-def _eta_system(basis: HaarBasis, h: WeightH, pivot_value: float | None,
-                coeffs: bytes, offsets: bytes, d: int) -> EtaSystem:
+def _eta_system(basis: HaarBasis, h: WeightH, coeffs: bytes, offsets: bytes,
+                d: int) -> EtaSystem:
     # the kernel arrives as the bytes of its arrays, which makes it a cache key
-    kernel = SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d),
-                          pivot_value)
+    kernel = SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d))
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -50,7 +49,9 @@ __all__ = [
 
 _FAMILIES = ("gaussian", "epanechnikov", "bandlimited")
 
+# the (b, x) product grid on which check_k3 fits c1
 _B_CHECK = np.arange(0.1, 2.05, 0.1)
+_X_CHECK = np.concatenate([np.linspace(1e-4, 5, 2001), np.geomspace(5, 500, 500)])
 
 
 def _ft_gaussian(t):
@@ -89,21 +90,9 @@ _FT = {"gaussian": _ft_gaussian, "epanechnikov": _ft_epanechnikov,
        "bandlimited": _ft_fejer}
 
 
-@lru_cache(maxsize=None)
-def _fitted_c1(family: str) -> float:
-    holds, c1 = check_k3(family)
-    if not holds:
-        raise InvalidInputError(f"(K3) fit failed for kernel family {family!r}")
-    return c1
-
-
 @dataclass(frozen=True)
 class SmoothingKernel:
-    """A smoothing density K_b with bandwidth b.
-
-    ``C_K`` bounds |F[K_b]| uniformly in b; ``c1`` is the fitted (K3)
-    constant for the family.
-    """
+    """A smoothing density K_b with bandwidth b."""
 
     family: str
     b: float
@@ -113,14 +102,6 @@ class SmoothingKernel:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
         if self.b <= 0:
             raise InvalidInputError("bandwidth must be positive")
-
-    @property
-    def C_K(self) -> float:
-        return 1.0
-
-    @property
-    def c1(self) -> float:
-        return _fitted_c1(self.family)
 
     def density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -246,28 +227,16 @@ def a_delta(b: float, delta: float, c1: float) -> float:
     return val ** 0.25
 
 
-def check_k3(family, b_grid: np.ndarray | None = None,
-             x_grid: np.ndarray | None = None) -> tuple[bool, float]:
-    """Smallest c1 with |1 - F[K_b](x)| <= c1 min{1, b|x|} on the product
-    grid; holds = (the fit is finite).
-
-    ``family`` is one of the built-in names, or a user-supplied callable
-    t -> F[K](t) for a custom band-limited kernel.
-    """
-    if callable(family):
-        ft = family
-    elif family in _FAMILIES:
-        ft = _FT[family]
-    else:
+def check_k3(family: str) -> tuple[bool, float]:
+    """Smallest c1 with |1 - F[K_b](x)| <= c1 min{1, b|x|} for the kernel
+    family on the product grid of b in [0.1, 2] and x in [1e-4, 500];
+    holds = (the fit is finite)."""
+    if family not in _FAMILIES:
         raise InvalidInputError(f"unknown kernel family {family!r}")
-    if b_grid is None:
-        b_grid = _B_CHECK
-    if x_grid is None:
-        x_grid = np.concatenate([np.linspace(1e-4, 5, 2001),
-                                 np.geomspace(5, 500, 500)])
+    ft = _FT[family]
     worst = 0.0
-    for b in b_grid:
-        ratio = np.abs(1.0 - ft(b * x_grid)) / np.minimum(1.0, b * np.abs(x_grid))
+    for b in _B_CHECK:
+        ratio = np.abs(1.0 - ft(b * _X_CHECK)) / np.minimum(1.0, b * np.abs(_X_CHECK))
         worst = max(worst, float(np.max(ratio)))
     return bool(np.isfinite(worst)), worst
 
@@ -288,22 +257,16 @@ def k1_mass_error(family: str, b: float) -> float:
     return abs(mass - 1.0)
 
 
-def select_bandwidth(est: GridFunction, family: str,
-                     b_range: np.ndarray | None = None,
-                     u_grid: Grid1D | None = None) -> float:
+def select_bandwidth(est: GridFunction, family: str) -> float:
     """Pick the bandwidth minimising the smoothness objective
 
         || F[est](u) * dF[K_b](u)/db ||_2
 
-    by grid search (50 log-spaced points in [0.05, 3] by default);
-    ties resolve to the smaller bandwidth."""
-    if b_range is None:
-        b_range = np.geomspace(0.05, 3.0, 50)
-    b_range = np.asarray(b_range, dtype=float)
-    if b_range.size == 0:
-        raise InvalidInputError("bandwidth range is empty")
-    if u_grid is None:
-        u_grid = symmetric_grid(40.0, 2049)
+    by grid search over 50 log-spaced points in [0.05, 3], with the
+    integral taken on 2049 nodes of [-40, 40]; ties resolve to the smaller
+    bandwidth."""
+    b_range = np.geomspace(0.05, 3.0, 50)
+    u_grid = symmetric_grid(40.0, 2049)
     spectrum = fourier_forward(est, u_grid)
     w = trapezoid_weights(u_grid)
     amp2 = np.abs(spectrum.values) ** 2
@@ -315,11 +278,10 @@ def select_bandwidth(est: GridFunction, family: str,
     return float(b_range[int(np.argmin(objectives))])
 
 
-def sobolev_norm(f: GridFunction, delta: float,
-                 u_grid: Grid1D | None = None) -> float:
-    """|| F[f](u) (1 + u^2)^{delta/2} ||_2 by quadrature on the u-grid."""
-    if u_grid is None:
-        u_grid = symmetric_grid(60.0, 4097)
+def sobolev_norm(f: GridFunction, delta: float) -> float:
+    """|| F[f](u) (1 + u^2)^{delta/2} ||_2 by quadrature on 4097 nodes of
+    [-60, 60]."""
+    u_grid = symmetric_grid(60.0, 4097)
     spec = fourier_forward(f, u_grid)
     w = trapezoid_weights(u_grid)
     u = u_grid.nodes()

@@ -305,7 +305,7 @@ class TestAppendixRates:
     def test_thin_replication_warning(self):
         cfg = ExperimentConfig(window=[20, 20])
         with pytest.warns(RuntimeWarning, match="thin"):
-            validate_appendix_rates(cfg, sides=[10, 14, 20], reps=10)
+            validate_appendix_rates(cfg, reps=10)
 
     def test_iid_field_slopes_tight(self):
         # a single-cell kernel gives i.i.d. observations and the classical
@@ -365,11 +365,24 @@ class TestCli:
         ("l", "x"),
         ("A", float("inf")),
         ("master_seed", -1),
+        ("grid_points", 1),
     ])
     def test_config_error_exit_code(self, tmp_path, key, val):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({key: val}))
         assert cli_main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--workers", "0"],
+        ["bench", "--workers", "-1"],
+        ["validate", "--suite", "appendix-rates", "--reps", "0"],
+        ["validate", "--suite", "appendix-rates", "--reps", "-5"],
+    ], ids=["workers=0", "workers=-1", "reps=0", "reps=-5"])
+    def test_nonpositive_count_exit_code(self, tmp_path, capsys, argv):
+        cfg_path = self._write_cfg(tmp_path, reps=1)
+        out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "bench" else []
+        assert cli_main(argv + ["--config", str(cfg_path)] + out) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path, method="onb", l=4.5,
@@ -377,6 +390,16 @@ class TestCli:
                                            "offsets": [[0, 0], [1, 1]]})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
+
+    def test_non_dominant_default_pivot_exit_code(self, tmp_path, capsys):
+        # the pivot minimising e is 0.9 (e = 0.26, against 3.79 for 1.0),
+        # and the Haar system needs a pivot of maximal |f_k|
+        cfg_path = self._write_cfg(tmp_path, method="onb", l=4.5, reps=1, d=1, window=[200],
+                                   kernel={"coeffs": [1.0, 0.9, 0.9, 0.9, 0.9],
+                                           "offsets": [[0], [1], [2], [3], [4]]})
+        assert cli_main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r.csv")]) == 3
+        assert "[stage onb] pivot |0.9| must dominate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("over", [
         {"A": 1e-9},                            # a ~1e12-node kernel grid

@@ -48,7 +48,7 @@ class TestJumpLaw:
 
     def test_tabulated_matches_source(self):
         g = Grid1D(-8, 8, 2001)
-        law = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
+        law = JumpLaw.tabulated(GridFunction(g, phi(g.nodes())))
         assert law.mass == pytest.approx(1.0, abs=1e-6)
         assert float(law.pdf(0.5)) == pytest.approx(float(phi(0.5)), rel=1e-5)
         assert complex(law.char_fn(np.array([1.0]))[0]) == pytest.approx(
@@ -66,7 +66,7 @@ class TestJumpLaw:
 
     def test_tabulated_sampler_ks(self):
         g = Grid1D(-8, 8, 4001)
-        law = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
+        law = JumpLaw.tabulated(GridFunction(g, phi(g.nodes())))
         rng = np.random.default_rng(7)
         draws = law.sample(rng, 4000)
         assert stats.kstest(draws, stats.norm.cdf).pvalue > 0.01
@@ -176,32 +176,23 @@ class TestUFunction:
 
     def test_tabulated_coverage_error(self):
         g = Grid1D(-1.5, 1.5, 301)
-        law = JumpLaw.tabulated(GridFunction.from_callable(g, lambda x: 0.4 * np.exp(-np.abs(x))))
+        law = JumpLaw.tabulated(GridFunction(g, 0.4 * np.exp(-np.abs(g.nodes()))))
         with pytest.raises(CoverageError):
             u_function(0.2, 0.0, law)  # needs coverage of [-5, 5]
 
     def test_tabulated_u_equal_one_needs_no_coverage(self):
         # U(1) = a0 integrates nothing, so a table short of [-1, 1] is enough
         g = Grid1D(-0.5, 0.5, 101)
-        law = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
+        law = JumpLaw.tabulated(GridFunction(g, phi(g.nodes())))
         assert u_function(1.0, 0.7, law) == 0.7
 
     def test_tabulated_matches_analytic_law(self):
         g = Grid1D(-10, 10, 4001)
-        table = JumpLaw.tabulated(GridFunction.from_callable(g, phi))
+        table = JumpLaw.tabulated(GridFunction(g, phi(g.nodes())))
         analytic = JumpLaw.gaussian()
         for u in (0.4, 2.5):
             assert u_function(u, 0.7, table) == pytest.approx(
                 u_function(u, 0.7, analytic), abs=1e-5)
-
-    def test_tabulated_mass_rescaling(self):
-        g = Grid1D(-8, 8, 2001)
-        law = JumpLaw.tabulated(GridFunction.from_callable(g, phi), mass=2.0)
-        assert law.mass == 2.0
-        assert float(law.pdf(0.0)) == pytest.approx(2 * float(phi(0.0)), rel=1e-5)
-        # char_fn stays the probability characteristic function
-        assert complex(law.char_fn(np.array([1.0]))[0]) == pytest.approx(
-            np.exp(-0.5), abs=1e-5)
 
 
 class TestDrift:
@@ -249,7 +240,7 @@ class TestRecovery:
     def test_round_trip_random_kernels(self, seed):
         rng = np.random.default_rng(seed)
         k = random_kernel(rng)
-        if abs(k.sum_f_vol()) < 1e-3:
+        if abs(k.sum_f()) < 1e-3:
             return
         law = JumpLaw.gaussian(mean=0.3, sd=0.8)
         a0_true, b0_true = 0.7, 1.9
@@ -287,7 +278,7 @@ class TestCumulant:
         #                        - i t integral_{-1}^{1} x phi(x - mu) dx
         mu = 0.5
         g = Grid1D(mu - 12, mu + 12, 8001)
-        table = JumpLaw.tabulated(GridFunction.from_callable(g, lambda x: phi(x - mu)))
+        table = JumpLaw.tabulated(GridFunction(g, phi(g.nodes() - mu)))
         inner = (mu * (stats.norm.cdf(1 - mu) - stats.norm.cdf(-1 - mu))
                  + phi(-1 - mu) - phi(1 - mu))
         want = (1j * t * 0.3 - 0.5 * t * t * 0.2 + np.exp(1j * mu * t - 0.5 * t * t) - 1

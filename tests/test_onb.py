@@ -51,8 +51,10 @@ class TestHaarBasis:
         HaarBasis(1.0, 1, 4)
 
     def test_cells_align_with_breakpoints(self):
-        basis = HaarBasis(6.0, 2, 7, n_cells=1000)
-        assert basis.n_cells % 8 == 0
+        # 2048 cells, rounded up to whole blocks of 2^(levels+1)
+        assert HaarBasis(6.0, 10, 7).n_cells == 2048
+        assert HaarBasis(6.0, 11, 7).n_cells == 4096
+        assert HaarBasis(6.0, 12, 7).n_cells == 8192
 
     @pytest.mark.parametrize("A", [1.0, 6.0, 7.3])
     def test_evaluate_matches_interval_masks(self, A):
@@ -117,12 +119,13 @@ class TestBuildEta:
         assert abs(val) <= 1e-10
 
     def test_pivot_not_maximal_rejected(self, h_linear):
-        k = kernel_1d([0.5, 1.0]).with_pivot(0.5)
+        # the default pivot 0.9 (e = 0.26, against 3.79 for 1.0) is not maximal
+        k = kernel_1d([1.0, 0.9, 0.9, 0.9, 0.9])
         with pytest.raises(PreconditionError, match="dominate"):
             build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
 
     def test_contraction_violation_rejected(self, h_linear):
-        k = kernel_1d([1.0, -1.0]).with_pivot(1.0)
+        k = kernel_1d([1.0, -1.0])
         with pytest.raises(PreconditionError, match="contraction"):
             build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
 
