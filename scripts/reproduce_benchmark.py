@@ -8,24 +8,31 @@ Writes one results CSV per cell.
 
 Usage:
     python scripts/reproduce_benchmark.py [--reps 20] [--outdir results]
+
+Exit codes are those of the levyfield CLI: 0 ok, 2 config error, 3 numeric
+or precondition error, 4 I/O error.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 from levyfield.bench import emit_manifest, emit_results_csv, run_bench
+from levyfield.cli import run_with_exit_codes
 from levyfield.config import TABLE1, section7_config
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--seed", type=int, default=20259)
-    args = parser.parse_args()
+    return run_with_exit_codes(_reproduce, parser.parse_args())
 
+
+def _reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"{'law':12s} {'method':8s} {'mean MSE':>12s} {'sd':>10s} "
@@ -45,7 +52,8 @@ def main():
             print(f"{law:12s} {method:8s} {result.mean:12.4e} {result.sd:10.2e} "
                   f"{ref:12.4e} {result.mean / ref:7.2f} {elapsed:6.1f}s")
     print(f"total wall time for the six cells: {time.perf_counter() - t_start:.2f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

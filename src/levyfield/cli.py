@@ -132,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_with_exit_codes(func, *args) -> int:
+    """func(*args) as an exit code: its own on success; 2, 3 or 4 with a
+    one-line message on stderr for a config, numeric or I/O error."""
     try:
-        return args.func(args)
+        return func(*args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -146,6 +146,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_with_exit_codes(args.func, args)
 
 
 if __name__ == "__main__":

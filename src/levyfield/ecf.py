@@ -14,11 +14,13 @@ so the consistent spectral estimator is theta_hat / psi_tilde with no
 additional phase factor.
 
 The first two sums are one call of :func:`grids.phase_sum`, the sum every
-transform of the package uses.  On the samples it runs a type-1
-non-uniform FFT on the uniform u-grid, in O(N * width + n_u log n_u) work
-instead of O(N n_u).  It agrees with direct exponentials to about 1e-13
-times the scale of the weights (1 for psi_hat, |Y| for theta_hat).  At
-u = 0 the sums are set to 1 and the sample mean.
+transform of the package uses, on the half of the symmetric, odd-count
+u-grid from an exact u = 0; Hermitian symmetry gives the other half.
+There it runs a type-1 non-uniform FFT of real weights, in
+O(N * width + n_u log n_u) work instead of O(N n_u).  It agrees with
+direct exponentials to about 1e-13 times the scale of the weights (1 for
+psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and the
+sample mean.
 """
 
 from __future__ import annotations
@@ -66,30 +68,30 @@ class EcfEstimate:
 
 
 def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
-    """Empirical means of e^{iuY} and Y e^{iuY} over the sample: the sums
-    of :func:`grids.phase_sum` over the coefficient rows 1 and Y, divided
-    by N (exact at u = 0).
+    """Empirical means of e^{iuY} and Y e^{iuY} over the sample on a
+    symmetric u-grid with an odd node count; any other grid is refused
+    with InvalidInputError.
 
-    Hermitian symmetry psi_hat(-u) = conj(psi_hat(u)) is used to halve the
-    work on symmetric grids with a central node.
+    The half-grid from an exact u = 0 is one :func:`grids.phase_sum` over
+    the coefficient rows 1 and Y, divided by N; Hermitian symmetry
+    psi_hat(-u) = conj(psi_hat(u)) fills the other half.  The centre node
+    holds exactly 1 and the sample mean.
     """
+    if not (u_grid.is_symmetric() and u_grid.n % 2 == 1):
+        raise InvalidInputError(
+            f"the ECF needs a symmetric u-grid with an odd node count, got "
+            f"[{u_grid.lo}, {u_grid.hi}] with {u_grid.n} nodes")
     y = sample.flat() if isinstance(sample, GridSample) else np.asarray(sample, dtype=float).reshape(-1)
     if len(y) < 1:
         raise InvalidInputError("need at least one observation")
-    u = u_grid.nodes()
-    rows = np.stack([np.ones_like(y), y])
-    if u_grid.is_symmetric() and u_grid.n % 2 == 1:
-        # the mirror treats the centre node as u = 0, which the nodes may
-        # miss by rounding; summing from an exact 0 also keeps the weights real
-        u[u_grid.n // 2] = 0.0
-        half = phase_sum(rows, y, u[u_grid.n // 2:]) / len(y)
-        psi, theta = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
-    else:
-        psi, theta = phase_sum(rows, y, u) / len(y)
-    # at u = 0 the sums reduce to 1 and the sample mean; evaluate them as such
-    at_zero = u == 0.0
-    psi[at_zero] = 1.0
-    theta[at_zero] = complex(y.mean())
+    mid = u_grid.n // 2
+    u = u_grid.nodes()[mid:]
+    # the middle node may miss 0 by rounding; an exact 0 keeps the weights real
+    u[0] = 0.0
+    half = phase_sum(np.stack([np.ones_like(y), y]), y, u) / len(y)
+    psi, theta = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+    psi[mid] = 1.0
+    theta[mid] = y.mean()
     return EcfEstimate(u_grid, psi, theta, len(y))
 
 

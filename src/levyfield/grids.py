@@ -12,11 +12,12 @@ Quadrature is composite trapezoid.  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
 sum_j c_j exp(+-i u_k x_j), evaluated by :func:`phase_sum`.  Sources on a
 Grid1D (every transform of a GridFunction) take a type-2 non-uniform FFT
-at any targets; other sources (the ECF's samples) take a type-1
-non-uniform FFT on uniform targets; the direct O(n*m) sum is the reference
-path of both and serves what is left.  Both fast paths agree with it to
-about 1e-13 of sum_j |c_j|, and the tests pin 1e-10.  No grid may have
-more than ``_MAX_CELLS`` nodes (:func:`_check_budget`).
+at any targets; real rows on uniform targets from u = 0 (the ECF's
+samples on its half-grid) take a type-1 non-uniform FFT; the direct
+O(n*m) sum is the reference path of both and serves what is left.  Both
+fast paths agree with it to about 1e-13 of sum_j |c_j|, and the tests pin
+1e-10.  No grid may have more than ``_MAX_CELLS`` nodes
+(:func:`_check_budget`).
 """
 
 from __future__ import annotations
@@ -183,35 +184,26 @@ def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
 
 
 def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
-    """Type-1 (spreading) non-uniform FFT of :func:`phase_sum` on the
-    uniform targets u.
+    """Type-1 (spreading) non-uniform FFT of :func:`phase_sum` for real rows
+    on the uniform targets u_m = m du, m = 0 .. n_u - 1.
 
-    With u_k = u_c + m du, m = k - c, each row is the Fourier coefficients
-    S(m) = sum_j w_j e^{i m du x_j} of the weights w_j = coef_j e^{i u_c x_j}.
-    Real rows on targets from u_0 = 0 take c = 0, so their weights stay
-    real and each row is one real stream; other rows are centred at
-    c = n_u // 2 and spread as a real and an imaginary stream.  Each stream
-    is spread by the exponential-of-semicircle kernel onto the periodic grid
-    of :func:`_fine_grid`, one real FFT gives the kernel-weighted
-    coefficients, and dividing by the DFT of the sampled kernel recovers
-    S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5),
-    2019).  Spreading runs tap-major over blocks of _SPREAD_BLOCK sources:
-    tap tau adds one bincount per stream at offset tau, and a row of unit
-    weights spreads the kernel values themselves.  A negative sign negates
-    the sources.
+    Each row is the Fourier coefficients S(m) = sum_j coef_j e^{i m du x_j}
+    of its real weights.  The row is spread by the exponential-of-semicircle
+    kernel onto the periodic grid of :func:`_fine_grid`, one real FFT gives
+    the kernel-weighted coefficients, and dividing by the DFT of the sampled
+    kernel recovers S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci.
+    Comput. 41(5), 2019).  Spreading runs tap-major over blocks of
+    _SPREAD_BLOCK sources: tap tau adds one bincount per row at offset tau,
+    and a row of unit weights spreads the kernel values themselves.  A
+    negative sign negates the sources.
     """
     x = sign * x
     rows = np.asarray(coef).reshape(-1, len(x))
     n_u = len(u)
-    real = not np.iscomplexobj(rows) and u[0] == 0.0
-    c = 0 if real else n_u // 2
-    du = (u[-1] - u[0]) / (n_u - 1)
-    centre = u[0] + c * du
-    m = np.arange(n_u) - c
-    m_r, kernel_dft = _fine_grid(max(c, n_u - 1 - c))
+    du = u[-1] / (n_u - 1)
+    m_r, kernel_dft = _fine_grid(n_u - 1)
     half = _ES_WIDTH // 2
-    # one stream per real row; a real and an imaginary stream per other row
-    unit = [bool(np.all(row == 1.0)) for row in rows] if real else [False] * (2 * len(rows))
+    unit = [bool(np.all(row == 1.0)) for row in rows]
     # Source j sits at t_j = -du x_j / h grid points, h = 2 pi / m_r, so that
     # the forward FFT's e^{-i m n h} gives e^{+i m du x_j}.  Its taps are the
     # nodes floor(t_j) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r);
@@ -219,13 +211,10 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     # points below node 0 and half points above node m_r - 1, so tap tau of
     # a source whose floor(t_j) is b (mod m_r) lands at index b + tau.
     offsets = (np.arange(_ES_WIDTH) - (half - 1)) / half
-    spread = np.zeros((len(unit), m_r + _ES_WIDTH - 1))
+    spread = np.zeros((len(rows), m_r + _ES_WIDTH - 1))
     for start in range(0, len(x), _SPREAD_BLOCK):
         xb = x[start:start + _SPREAD_BLOCK]
         w = rows[:, start:start + _SPREAD_BLOCK]
-        if not real:
-            w = w * np.exp(1j * centre * xb)
-            w = np.concatenate([w.real, w.imag])
         t = xb * (-du * m_r / (2 * np.pi))
         base = np.floor(t)
         t -= base
@@ -240,12 +229,7 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     grid = spread[:, half - 1:m_r + half - 1]
     grid[:, m_r - half + 1:] += spread[:, :half - 1]
     grid[:, :half] += spread[:, m_r + half - 1:]
-    spec = np.fft.rfft(grid, axis=1)[:, np.abs(m)] / kernel_dft[np.abs(m)]
-    # a real grid's transform at -m is the conjugate of that at m
-    spec[:, m < 0] = np.conj(spec[:, m < 0])
-    if not real:
-        re, im = np.split(spec, 2)
-        spec = re + 1j * im
+    spec = np.fft.rfft(grid, axis=1)[:, :n_u] / kernel_dft[:n_u]
     return spec.reshape(np.shape(coef)[:-1] + (n_u,))
 
 
@@ -304,8 +288,9 @@ def phase_sum(coef: np.ndarray, x: np.ndarray | Grid1D, u: np.ndarray,
 
     - sources given as a Grid1D of more than 28 nodes take the type-2
       (interpolating) non-uniform FFT ``_nufft_interp``, for any targets;
-    - other sources on more than 28 uniform targets take the type-1
-      (spreading) non-uniform FFT ``_nufft_sum``;
+    - real rows on more than 28 uniform targets that start at exactly
+      u = 0 (the ECF half-grid) take the type-1 (spreading) non-uniform
+      FFT ``_nufft_sum``;
     - everything else takes the direct sum ``_direct_sum``, the reference
       path of both.
 
@@ -319,11 +304,11 @@ def phase_sum(coef: np.ndarray, x: np.ndarray | Grid1D, u: np.ndarray,
     if isinstance(x, Grid1D):
         if x.n > 28:
             return _nufft_interp(coef, x, u, sign)
-        x = x.nodes()
+        return _direct_sum(coef, x.nodes(), u, sign)
     x = np.asarray(x, dtype=float)
-    if len(u) <= 28 or not _uniform(u):
-        return _direct_sum(coef, x, u, sign)
-    return _nufft_sum(coef, x, u, sign)
+    if len(u) > 28 and u[0] == 0.0 and not np.iscomplexobj(coef) and _uniform(u):
+        return _nufft_sum(coef, x, u, sign)
+    return _direct_sum(coef, x, u, sign)
 
 
 def fourier_forward(f: GridFunction, u_grid: Grid1D) -> GridFunction:

@@ -247,14 +247,6 @@ class WeightH:
         if self.signed and abs(self.beta - round(self.beta)) > 1e-12:
             raise InvalidInputError("signed weights x^beta need integer beta")
 
-    def h(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.beta == 0:
-            return np.ones_like(x)
-        if self.signed:
-            return x ** int(round(self.beta))
-        return np.abs(x) ** self.beta
-
     def ratio(self, c: float) -> float:
         """h(x) / h(c x), which is constant in x for power weights."""
         if c == 0:

@@ -91,9 +91,6 @@ class HaarBasis:
     def midpoints(self) -> np.ndarray:
         return -self.A + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def midpoint_grid(self) -> Grid1D:
-        return Grid1D(-self.A + 0.5 * self.dx, self.A - 0.5 * self.dx, self.n_cells)
-
     def evaluate(self, j: int, x) -> np.ndarray:
         """Pointwise values of basis function j (0-based), zero off [-A, A].
 
@@ -226,12 +223,10 @@ def solve_coefficients(yhat: np.ndarray, system: EtaSystem) -> np.ndarray:
     return solve_triangular(system.mix, yhat)
 
 
-def onb_estimate(xhat: np.ndarray, basis: HaarBasis,
-                 x_grid: Grid1D | None = None) -> GridFunction:
-    """g0 estimate sum_i x_i psi_i, evaluated on x_grid (default: the
-    basis midpoint grid); supported in [-A, A]."""
-    grid = x_grid if x_grid is not None else basis.midpoint_grid()
-    return GridFunction(grid, basis.combine(xhat, grid.nodes()))
+def onb_estimate(xhat: np.ndarray, basis: HaarBasis, x_grid: Grid1D) -> GridFunction:
+    """g0 estimate sum_i x_i psi_i, evaluated on x_grid; supported in
+    [-A, A]."""
+    return GridFunction(x_grid, basis.combine(xhat, x_grid.nodes()))
 
 
 def onb_error_bound(e_factor_: float, f1: float, n1: int,

@@ -530,3 +530,17 @@ def test_reproduce_benchmark_script(tmp_path):
                 mses = [float(row["mse"]) for row in csv.DictReader(fh)]
             result, _ = run_bench(section7_config(law, method, reps=2))
             assert mses == result.mses.tolist()
+
+
+@pytest.mark.parametrize("argv", [["--reps", "1", "--workers", "0"], ["--reps", "0"]],
+                         ids=["workers-0", "reps-0"])
+def test_reproduce_benchmark_script_config_error(tmp_path, argv):
+    # a bad option exits 2 through the CLI's error mapping, not with a traceback
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_benchmark.py"),
+                           *argv, "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levyfield import grids
 from levyfield.errors import CoverageError, DivergentBoundError, InvalidInputError
 from levyfield.grids import (
     Grid1D,
@@ -37,6 +38,11 @@ from levyfield.ecf import (
     stabilize,
     theorem_bound_g1,
 )
+
+
+def refuse(*args):
+    """Stands in for a sum path that a routing test says is not taken."""
+    raise AssertionError("a patched-out sum path ran")
 
 
 class TestComputeEcf:
@@ -95,24 +101,33 @@ class TestComputeEcf:
         assert ecf.psi_hat[grid.n // 2] == 1.0
         assert ecf.theta_hat[grid.n // 2] == y.mean()
 
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_refuses_other_u_grids(self, monkeypatch, asymmetric):
+        monkeypatch.setattr(grids, "_direct_sum", refuse)
+        monkeypatch.setattr(grids, "_nufft_sum", refuse)
+        grid = Grid1D(-1.0, 2.0, 101) if asymmetric else symmetric_grid(2.0, 100)
+        with pytest.raises(InvalidInputError, match="odd node count"):
+            compute_ecf(np.ones(10), grid)
+
+    def test_half_grid_takes_the_fast_path(self, monkeypatch):
+        # the values are pinned by test_fast_path_matches_direct_exponentials
+        monkeypatch.setattr(grids, "_direct_sum", refuse)
+        y = np.random.default_rng(6).normal(size=2000)
+        assert compute_ecf(y, symmetric_grid(np.pi, 4097)).psi_hat.shape == (4097,)
+
     @pytest.mark.parametrize("parity", [0, 1])
-    @pytest.mark.parametrize("weights", ["complex", "real"])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
            scale=st.floats(0.1, 200.0), seed=st.integers(0, 2 ** 32 - 1),
-           u0=st.floats(-5.0, 5.0), du=st.floats(1e-3, 0.05), half=st.integers(14, 300),
+           du=st.floats(1e-3, 0.05), half=st.integers(14, 300),
            sign=st.sampled_from([1.0, -1.0]))
-    @example(n_obs=1, kind="tails", scale=200.0, seed=0, u0=0.0, du=np.pi / 2048, half=1024,
-             sign=1.0)
-    @example(n_obs=500, kind="zeros", scale=1.0, seed=0, u0=-1.0, du=0.01, half=200, sign=-1.0)
+    @example(n_obs=1, kind="tails", scale=200.0, seed=0, du=np.pi / 2048, half=1024, sign=1.0)
+    @example(n_obs=500, kind="zeros", scale=1.0, seed=0, du=0.01, half=200, sign=-1.0)
     @settings(max_examples=30, deadline=None)
-    def test_nufft_matches_direct_sums(self, weights, parity, n_obs, kind, scale, seed, u0, du,
-                                       half, sign):
-        # the shared sum at 29 or more targets (odd counts for parity 0, even
-        # for 1), each row over N.  "complex": the ECF rows 1 and Y and a
-        # complex row on targets from u0.  "real": rows 1 and Y only on
-        # targets from u = 0, the ECF half-grid, which spreads real weights.
-        # The Y row rounds at the scale of max |Y| in both paths, so it is
-        # compared at that scale, the other rows at scale 1
+    def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, du, half, sign):
+        # the type-1 path: the ECF rows 1 and Y, each over N, on 29 or more
+        # targets from u = 0 (odd counts for parity 0, even for 1), the ECF
+        # half-grid.  The Y row rounds at the scale of max |Y| in both paths,
+        # so it is compared at that scale, the row of ones at scale 1
         rng = np.random.default_rng(seed)
         if kind == "zeros":
             y = np.zeros(n_obs)
@@ -121,18 +136,34 @@ class TestComputeEcf:
         else:
             y = np.clip(rng.laplace(scale=scale, size=n_obs), -1e3, 1e3)
             y[0] = 1e3
-        z = (rng.normal(size=n_obs) + 1j * rng.normal(size=n_obs)) / np.sqrt(2)
-        if weights == "complex":
-            rows = np.stack([np.ones_like(y), y, z]) / n_obs
-            u = u0 + du * np.arange(2 * half + 1 + parity)
-        else:
-            rows = np.stack([np.ones_like(y), y]) / n_obs
-            u = du * np.arange(2 * half + 1 + parity)
-        fast = phase_sum(rows, y, u, sign)
+        rows = np.stack([np.ones_like(y), y]) / n_obs
+        u = du * np.arange(2 * half + 1 + parity)
+        fast = grids._nufft_sum(rows, y, u, sign)
         ref = _direct_sum(rows, y, u, sign)
         err = np.max(np.abs(fast - ref), axis=1)
-        assert err[0] <= 1e-10 and np.all(err[2:] <= 1e-10)
+        assert err[0] <= 1e-10
         assert err[1] <= 1e-10 * max(1.0, np.max(np.abs(y)))
+
+
+class TestPhaseSumRoute:
+    @pytest.mark.parametrize("case", ["complex rows", "targets from u0 != 0", "20-node Grid1D"])
+    def test_direct_sum_serves_the_rest(self, monkeypatch, case):
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=300)
+        u = 0.01 * np.arange(2049)
+        coef = np.stack([np.ones_like(y), y])
+        if case == "complex rows":
+            coef = coef + 1j * rng.normal(size=coef.shape)
+        elif case == "targets from u0 != 0":
+            u = u + 0.5
+        else:
+            y = Grid1D(-3.0, 3.0, 20)
+            coef = rng.normal(size=20)
+            u = -40.0 + 0.04 * np.arange(2049)
+        sources = y.nodes() if isinstance(y, Grid1D) else y
+        ref = _direct_sum(coef, sources, u, 1.0)
+        monkeypatch.setattr(grids, "_nufft_sum", refuse)
+        assert np.array_equal(phase_sum(coef, y, u), ref)
 
 
 class TestStabilize:

@@ -150,10 +150,10 @@ def test_every_public_name_is_reached_or_allowlisted():
     nothing.
 
     Known blind spot: identifiers match definitions by leaf name only, so
-    any variable or attribute that shares a method's name reaches it.
-    ``WeightH.h`` thus counts as reached through every variable named
-    ``h``, and a method named ``c1`` would be reached by the local ``c1``
-    of ``bench.validate_kernels``.
+    any variable or attribute that shares a method's name reaches it: a
+    method named ``h`` would count as reached through every variable named
+    ``h``, and a method named ``c1`` through the local ``c1`` of
+    ``bench.validate_kernels``.
     """
     public, reached = _reachability()
     unreached = {q for q, (_, _, leaf) in public.items() if leaf not in reached}

@@ -123,7 +123,6 @@ class TestWeightH:
 
     def test_beta_zero_is_unit_weight(self):
         h = WeightH(beta=0.0)
-        assert np.all(h.h(np.array([-1.0, 0.0, 3.0])) == 1.0)
         assert h.ratio(5.0) == 1.0
 
 

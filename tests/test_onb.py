@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levyfield.errors import InvalidInputError, PreconditionError, SingularSystemError
-from levyfield.grids import symmetric_grid
+from levyfield.grids import Grid1D, symmetric_grid
 from levyfield.model import SimpleKernel, forward_g_transform
 from levyfield.onb import (
     EtaSystem,
@@ -17,6 +17,11 @@ from levyfield.onb import (
 
 def phi(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2 * np.pi)
+
+
+def midpoint_grid(basis):
+    """The grid of the Haar cells' midpoints."""
+    return Grid1D(-basis.A + basis.dx / 2, basis.A - basis.dx / 2, basis.n_cells)
 
 
 def kernel_1d(coeffs):
@@ -151,7 +156,7 @@ class TestProjection:
     def test_unit_vector_recovery(self, h_linear, bench_system):
         # feed g1bar = e_2 exactly by inverting the bar-scaling
         e2 = bench_system.e_values[1]
-        grid = bench_system.basis.midpoint_grid()
+        grid = midpoint_grid(bench_system.basis)
         f1 = bench_system.pivot_value
         ratio = h_linear.ratio(f1)
 
@@ -222,7 +227,7 @@ class TestSolve:
 class TestEstimate:
     def test_zero_coefficients(self):
         basis = HaarBasis(6.0, 2, 7)
-        out = onb_estimate(np.zeros(7), basis)
+        out = onb_estimate(np.zeros(7), basis, midpoint_grid(basis))
         assert np.all(out.values == 0)
 
     def test_support_confined(self):
@@ -240,7 +245,7 @@ class TestEstimate:
         y = project_g1bar(g1, bench_system)
         xhat = solve_coefficients(y, bench_system)
         assert np.max(np.abs(xhat - coeffs)) <= 1e-8
-        est = onb_estimate(xhat, basis)
+        est = onb_estimate(xhat, basis, midpoint_grid(basis))
         assert np.max(np.abs(est.values - g0(basis.midpoints()))) <= 1e-8
 
     @pytest.mark.parametrize("g0", [
@@ -289,7 +294,7 @@ class TestErrorBound:
         g1 = forward_g_transform(g0, bench_kernel, h_linear)
         y = project_g1bar(g1, system)
         xhat = solve_coefficients(y, system)
-        est = onb_estimate(xhat, basis)
+        est = onb_estimate(xhat, basis, midpoint_grid(basis))
         err = np.sqrt(np.sum((est.values - g0_vals) ** 2) * basis.dx)
         # tail term over levels up to 5; the remainder beyond level 5 is
         # negligible for this smooth target
