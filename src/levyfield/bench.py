@@ -18,9 +18,9 @@ the master seed and the replication, and its stabilised ECF only on that
 sample and the u-grid.  The last sample and the last ECF are kept, one
 of each, and handed to the next call of another method whose inputs are
 the same.  So consecutive calls for the methods of one (law,
-replication) simulate once, and plug-in and Fourier at one cutoff
-compute one ECF.  A call given its own ``sample`` neither reads nor
-fills these entries.  The ONB systems are kept by
+replication) simulate once, and plug-in and Fourier on one u-grid
+(:func:`_u_grid`) compute one ECF.  A call given its own ``sample``
+neither reads nor fills these entries.  The ONB systems are kept by
 :func:`onb.build_eta` itself.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -40,8 +41,8 @@ from . import onb as onb_mod
 from .config import ExperimentConfig
 from .ecf import EcfEstimate, compute_ecf, fourier_g1_hat, g1_hat_at, stabilize
 from .errors import ConfigError, LevyFieldError
-from .grids import GridFunction, l2_norm, symmetric_grid
-from .invert import contraction_factor, fourier_estimate, plugin_estimate
+from .grids import Grid1D, GridFunction, _check_budget, l2_norm, symmetric_grid
+from .invert import build_series_plan, contraction_factor, fourier_estimate, plugin_estimate
 from .model import (
     JumpLaw,
     SimpleKernel,
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 _N_U = 4097
+# h(x) = x: every pipeline estimates g0 = x v0
+_WEIGHT = WeightH(beta=1.0, signed=True)
 
 
 def g0_model(law: JumpLaw):
@@ -129,14 +132,9 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
     t0 = time.perf_counter()
     kernel = cfg.kernel_obj()
     law = cfg.law_obj()
-    if int(cfg.beta) != 1:
-        raise ConfigError(
-            "pipelines estimate g = x v (weight x^1); general beta is "
-            "available on the library surface only"
-        )
-    h = cfg.weight_obj()
     mse_grid = symmetric_grid(cfg.A, cfg.grid_points)
-    u_grid = symmetric_grid(np.pi * cfg.l, _N_U)
+    with _stage(cfg.method):
+        u_grid = _u_grid(cfg, kernel)
 
     if cfg.oracle_g1:
         g1_call = g1_model(kernel, law)
@@ -148,17 +146,17 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
 
     with _stage(cfg.method):
         if cfg.method == "plugin":
-            est = plugin_estimate(g1_call, kernel, h, int(cfg.n_N), mse_grid)
+            est = plugin_estimate(g1_call, kernel, _WEIGHT, int(cfg.n_N), mse_grid)
         elif cfg.method == "fourier":
             if cfg.oracle_g1:
                 fg1 = GridFunction(u_grid, fourier_g1_model(kernel, law, u_grid.nodes()))
             else:
                 fg1 = fourier_g1_hat(ecf)
-            est = fourier_estimate(fg1, kernel, int(cfg.beta), int(cfg.n_N),
+            est = fourier_estimate(fg1, kernel, _WEIGHT.beta, int(cfg.n_N),
                                    cfg.l, mse_grid)
         else:
             basis = onb_mod.HaarBasis(cfg.A, int(cfg.haar_levels), int(cfg.m))
-            system = onb_mod.build_eta(basis, kernel, h)
+            system = onb_mod.build_eta(basis, kernel, _WEIGHT)
             yhat = onb_mod.project_g1bar(g1_call, system)
             xhat = onb_mod.solve_coefficients(yhat, system)
             est = onb_mod.onb_estimate(xhat, basis, mse_grid)
@@ -175,6 +173,19 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
 
     return PipelineOutput(estimate=est, truth=truth, mse=float(mse),
                           runtime_s=time.perf_counter() - t0)
+
+
+def _u_grid(cfg: ExperimentConfig, kernel: SimpleKernel) -> Grid1D:
+    """The u-grid of the ECF: _N_U nodes on [-pi l, pi l].  The Fourier
+    method's grid keeps that spacing out to pi l / min(1, min|scale|), the
+    largest argument at which :func:`invert.fourier_estimate` reads F[g1]."""
+    half = n_half = _N_U // 2
+    if cfg.method == "fourier":
+        rows = build_series_plan(kernel, _WEIGHT, int(cfg.n_N)).spectral_terms(_WEIGHT.beta)
+        n_half = half / min(1.0, *(abs(scale) for scale, _ in rows))
+        _check_budget(2 * n_half + 1, "u-grid nodes")
+        n_half = math.ceil(n_half)
+    return symmetric_grid(np.pi * cfg.l * (n_half / half), 2 * n_half + 1)
 
 
 class _LastValue:
@@ -229,21 +240,23 @@ def _stabilized_ecf(cfg: ExperimentConfig, rep: int, sample, u_grid) -> EcfEstim
                                 cfg.seed_spec(), rep=rep, mesh=cfg.mesh)
 
     key = _sample_key(cfg, rep)
-    return _last_ecf.get((key, cfg.l, _N_U), cfg.method,
+    return _last_ecf.get((key, u_grid), cfg.method,
                          lambda: ecf_of(_last_sample.get(key, cfg.method, simulate)))
 
 
-def run_bench(cfg: ExperimentConfig, workers: int = 1,
-              keep_estimates: bool = False):
-    """All replications of the configured pipeline.
+def run_bench(cfg: ExperimentConfig, workers: int = 1):
+    """All replications of the configured pipeline: the BenchResult and
+    the PipelineOutputs, ordered by replication index.
 
     Replications carry independent seed substreams, so the result is
-    bit-identical for any worker count; outputs are ordered by
-    replication index.  A worker count below 1 raises ConfigError.
+    bit-identical for any worker count.  A worker count below 1 raises
+    ConfigError.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     reps = int(cfg.reps)
+    # each output holds an estimate and the truth on the x-grid
+    _check_budget(2 * reps * int(cfg.grid_points), "estimate and truth values")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(lambda r: run_pipeline(cfg, r), range(reps)))
@@ -255,7 +268,7 @@ def run_bench(cfg: ExperimentConfig, workers: int = 1,
         mses=np.array([o.mse for o in outputs]),
         runtimes=np.array([o.runtime_s for o in outputs]),
     )
-    return (result, outputs) if keep_estimates else (result, None)
+    return result, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +317,9 @@ def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
     """Monte Carlo rates of the ecf moment bounds on the configured field.
 
     Estimates E|psi_hat - psi|^2 and E|theta_hat - theta|^4 at u = 1 over
-    ``reps`` replications per window, on five windows of growing size
-    derived from d, and fits log-log slopes; the moment bounds predict
-    slopes -1 and -2 respectively.  Fewer than one replication raises
+    ``reps`` replications per window, on five windows of growing size in
+    the dimension len(window), and fits log-log slopes; the moment bounds
+    predict slopes -1 and -2 respectively.  Fewer than one replication raises
     ConfigError.
     """
     if reps < 1:
@@ -316,7 +329,7 @@ def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
                       "for rate fitting (need >= 50)", RuntimeWarning)
     kernel = cfg.kernel_obj()
     law = cfg.law_obj()
-    d = int(cfg.d)
+    d = len(cfg.window)
     sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
     u = 1.0
     seeds = cfg.seed_spec()
@@ -394,7 +407,7 @@ def validate_fixed_point() -> dict:
     tolerance.
     """
     kernel = SimpleKernel(coeffs=np.array([1.0, 0.1]), offsets=np.array([[0], [1]]))
-    h = WeightH(beta=1.0, signed=True)
+    h = _WEIGHT
     law = JumpLaw.gaussian()
     g0 = g0_model(law)
     g1 = forward_g_transform(g0, kernel, h)
@@ -422,7 +435,7 @@ def validate_onb() -> dict:
     """Structural suite for the orthonormal-basis machinery with the
     benchmark kernel, weight and Haar basis of the default config."""
     cfg = ExperimentConfig()
-    kernel, h, m = cfg.kernel_obj(), cfg.weight_obj(), cfg.m
+    kernel, h, m = cfg.kernel_obj(), _WEIGHT, cfg.m
     basis = onb_mod.HaarBasis(cfg.A, cfg.haar_levels, m)
     system = onb_mod.build_eta(basis, kernel, h)
     dx = basis.dx

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .config import ExperimentConfig
+from .config import _METHODS, ExperimentConfig
 from .errors import ConfigError, LevyFieldError
 from .simulate import read_sample_csv, sample_field, write_sample_csv
 
@@ -49,8 +49,7 @@ def _cmd_bench(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.reps is not None:
         cfg = cfg.with_overrides(reps=int(args.reps))
-    result, outputs = bench.run_bench(cfg, workers=args.workers,
-                                      keep_estimates=args.dump_estimates is not None)
+    result, outputs = bench.run_bench(cfg, workers=args.workers)
     bench.emit_results_csv(args.out, [result])
     if args.manifest:
         bench.emit_manifest(args.manifest, cfg,
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate g0 from a sample CSV")
-    p.add_argument("--method", choices=("plugin", "fourier", "onb"), default=None)
+    p.add_argument("--method", choices=_METHODS, default=None)
     p.add_argument("--sample", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)

@@ -6,26 +6,32 @@ coefficients (1.3, 0.2, 0.1, 0.1) on a 2x2 block of unit lattice cells,
 standard normal jumps, a 100x100 observation window (N = 10^4), series
 depth 1, spectral cutoff 1, Haar parameters A = 6 and m = 7, and
 Epanechnikov smoothing.
+
+No field restates what the paper fixes: kernel cells are unit lattice
+cells, every pipeline estimates g0 = x v0, and the dimension is
+``len(window)``.  :meth:`ExperimentConfig._check` refuses every fault
+with ConfigError before anything is simulated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import JumpLaw, SimpleKernel, WeightH
+from .grids import Grid1D, GridFunction, _uniform
+from .model import JumpLaw, SimpleKernel
 from .simulate import SeedSpec
+from .smooth import _FAMILIES as _SMOOTH_FAMILIES
 
 __all__ = ["ExperimentConfig", "TABLE1", "section7_config"]
 
 _METHODS = ("plugin", "fourier", "onb")
-_SMOOTH_FAMILIES = ("gaussian", "epanechnikov", "bandlimited")
 _LAW_KEYS = {
     "gaussian": {"kind", "mean", "sd"},
     "exponential": {"kind", "rate"},
@@ -41,23 +47,25 @@ def _is_real(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
+def _is_finite_real(val) -> bool:
+    # a comparison, unlike float(), neither overflows on a huge int nor passes nan
+    return _is_real(val) and abs(val) <= sys.float_info.max
+
+
 def _is_positive_real(val) -> bool:
-    return _is_real(val) and math.isfinite(val) and val > 0
+    return _is_finite_real(val) and val > 0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int = 2
     kernel: dict = field(default_factory=lambda: {
         "coeffs": [1.3, 0.2, 0.1, 0.1],
         "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]],
-        "volumes": [1.0, 1.0, 1.0, 1.0],
     })
     jump_law: dict = field(default_factory=lambda: {"kind": "gaussian", "mean": 0.0, "sd": 1.0})
     window: list = field(default_factory=lambda: [100, 100])
     mesh: float = 1.0
     method: str = "fourier"
-    beta: int = 1
     n_N: int = 1
     l: float = 1.0
     A: float = 6.0
@@ -83,12 +91,19 @@ class ExperimentConfig:
             raise ConfigError(f"smooth_family must be one of {_SMOOTH_FAMILIES}")
         if not isinstance(c.kernel, dict):
             raise ConfigError("kernel must be an object")
-        extra = set(c.kernel) - {"coeffs", "offsets", "volumes"}
+        extra = set(c.kernel) - {"coeffs", "offsets"}
         if extra:
             raise ConfigError(f"unknown kernel keys: {sorted(extra)}")
         for key in ("coeffs", "offsets"):
             if key not in c.kernel:
                 raise ConfigError(f"kernel.{key} is required")
+        coeffs, offsets = c.kernel["coeffs"], c.kernel["offsets"]
+        if not (isinstance(coeffs, (list, tuple)) and all(_is_real(v) for v in coeffs)):
+            raise ConfigError("kernel.coeffs must list real numbers")
+        if not (isinstance(offsets, (list, tuple)) and offsets
+                and all(isinstance(o, (list, tuple)) and len(o) == len(offsets[0]) > 0
+                        and all(_is_int(i) for i in o) for o in offsets)):
+            raise ConfigError("kernel.offsets must list integer lattice corners of one dimension")
         if not isinstance(c.jump_law, dict) or "kind" not in c.jump_law:
             raise ConfigError("jump_law must be an object with a 'kind'")
         kind = c.jump_law["kind"]
@@ -97,14 +112,21 @@ class ExperimentConfig:
         extra = set(c.jump_law) - _LAW_KEYS[kind]
         if extra:
             raise ConfigError(f"unknown jump_law keys for {kind}: {sorted(extra)}")
-        for name, lo in (("d", 1), ("beta", 0), ("n_N", 0), ("grid_points", 2),
-                         ("haar_levels", 0), ("m", 1), ("reps", 1), ("master_seed", 0)):
+        for key in c.jump_law.keys() & {"mean", "sd", "rate"}:
+            if not _is_finite_real(c.jump_law[key]):
+                raise ConfigError(f"jump_law.{key} must be a finite number")
+        for name, lo in (("n_N", 0), ("grid_points", 2), ("haar_levels", 0), ("m", 1),
+                         ("reps", 1), ("master_seed", 0)):
             val = getattr(c, name)
             if not _is_int(val) or val < lo:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {val!r}")
-        if len(c.window) != c.d or not all(_is_int(w) and w >= 1 for w in c.window):
-            raise ConfigError("window must list one positive integer extent per dimension")
-        for name in ("mesh", "l", "A"):
+        if not (isinstance(c.window, (list, tuple)) and len(c.window) == len(offsets[0])
+                and all(_is_int(w) and w >= 1 for w in c.window)):
+            raise ConfigError(f"window must list one positive integer extent per dimension "
+                              f"of the kernel offsets ({len(offsets[0])}), got {c.window!r}")
+        if not (_is_positive_real(c.mesh) and float(c.mesh).is_integer()):
+            raise ConfigError(f"mesh must be a positive integer, got {c.mesh!r}")
+        for name in ("l", "A"):
             if not _is_positive_real(getattr(c, name)):
                 raise ConfigError(f"{name} must be a finite number > 0")
         if not (c.bandwidth == "auto" or _is_positive_real(c.bandwidth)):
@@ -113,16 +135,15 @@ class ExperimentConfig:
             raise ConfigError("oracle_g1 must be a boolean")
         # constructing the objects validates coefficient/offset consistency
         try:
-            n_cells = self.kernel_obj().n
-            self.law_obj()
+            self.kernel_obj()
+            law = self.law_obj()
         except Exception as exc:
             raise ConfigError(f"invalid kernel or jump law: {exc}") from exc
-        # every cell is a unit lattice cell; the optional key may only say so
-        vol = c.kernel.get("volumes", [1] * n_cells)
-        if not (isinstance(vol, (list, tuple)) and len(vol) == n_cells
-                and all(_is_real(v) and v == 1 for v in vol)):
-            raise ConfigError(f"kernel.volumes must list {n_cells} ones (unit lattice "
-                              f"cells), got {vol!r}")
+        if kind == "tabulated":
+            # the law reads only the end nodes, so the others must be where it puts them
+            x = np.asarray(c.jump_law["x"], dtype=float)
+            if x.shape != (law.density_.grid.n,) or not (x[1] > x[0] and _uniform(x)):
+                raise ConfigError("jump_law.x must be increasing and uniformly spaced")
 
     # -- serialisation ----------------------------------------------------
 
@@ -177,13 +198,9 @@ class ExperimentConfig:
             return JumpLaw.gaussian(mean=spec.get("mean", 0.0), sd=spec.get("sd", 1.0))
         if kind == "exponential":
             return JumpLaw.exponential(rate=spec.get("rate", 1.0))
-        from .grids import Grid1D, GridFunction
         x = np.asarray(spec["x"], dtype=float)
         dens = np.asarray(spec["density"], dtype=float)
         return JumpLaw.tabulated(GridFunction(Grid1D(float(x[0]), float(x[-1]), len(x)), dens))
-
-    def weight_obj(self) -> WeightH:
-        return WeightH(beta=float(self.beta), signed=True)
 
     def seed_spec(self) -> SeedSpec:
         return SeedSpec(master_seed=int(self.master_seed))

@@ -118,6 +118,8 @@ class SeriesPlan:
         rows = []
         for t in self.terms:
             scale = t.scale(self.pivot_value)
+            if scale == 0:
+                raise InvalidInputError("a series scale f1^(j+1)/product underflows to 0")
             sign = -1.0 if t.depth % 2 else 1.0
             w = sign * t.count * (np.sign(scale) ** beta) * abs(scale) ** (-beta) \
                 / self.n1 ** (t.depth + 1)
@@ -162,7 +164,7 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
     g = len(values)
     terms = [SeriesTerm(depth=0, product=1.0, count=1.0, multiplicities=(0,) * g)]
     if g > 0:
-        budget = sum(math.comb(j + g - 1, g - 1) for j in range(1, n_trunc + 1))
+        budget = math.comb(n_trunc + g, g) - 1  # the docstring's sum, in closed form
         if budget > _TERM_BUDGET:
             raise ResourceLimitError(
                 f"grouped series needs {budget} terms (> {_TERM_BUDGET}); "

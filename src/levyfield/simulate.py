@@ -125,8 +125,8 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
     off = kernel.offsets
     lo = off.min(axis=0)
     hi = off.max(axis=0)
-    ext_shape = tuple(int(w + (h - l)) for w, l, h in zip(window, lo, hi))
-    n_cells = int(np.prod(ext_shape))
+    ext_shape = tuple(w + int(h - l) for w, l, h in zip(window, lo, hi))
+    n_cells = math.prod(ext_shape)
     _check_budget(n_cells, "window cells")
     rng = seeds.replication_rng(rep)
     cells = _cp_sums(law, np.ones(n_cells), rng).reshape(ext_shape)

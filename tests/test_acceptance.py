@@ -206,8 +206,8 @@ def test_criterion_9_determinism(tmp_path):
 
     cfg = section7_config("gaussian", "fourier", window=[40, 40], reps=3,
                           grid_points=512, master_seed=31)
-    res1, outs1 = run_bench(cfg, workers=1, keep_estimates=True)
-    res2, outs2 = run_bench(cfg, workers=3, keep_estimates=True)
+    res1, outs1 = run_bench(cfg, workers=1)
+    res2, outs2 = run_bench(cfg, workers=3)
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     emit_results_csv(p1, [res1])
     emit_results_csv(p2, [res2])

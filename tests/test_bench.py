@@ -21,6 +21,7 @@ from levyfield.bench import (
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
 from levyfield.errors import ConfigError, PreconditionError
+from levyfield.grids import symmetric_grid
 from levyfield.simulate import SeedSpec, sample_field
 
 
@@ -80,12 +81,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
-    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
-    @pytest.mark.parametrize("method", ["plugin", "fourier", "onb"])
-    def test_shipped_config_matches_section7(self, law, method):
-        path = Path(__file__).parents[1] / "configs" / f"{law}_{method}.json"
-        assert json.loads(path.read_text()) == section7_config(law, method).to_dict()
-
     def test_section7_parameters(self):
         assert section7_config("gaussian", "fourier").bandwidth == 0.5
         assert section7_config("exponential", "plugin").bandwidth == 1.0
@@ -104,11 +99,6 @@ class TestPipeline:
         out = run_pipeline(cfg, rep=0)
         assert out.mse > 0 and np.isfinite(out.mse)
         assert out.estimate.grid.n == cfg.grid_points
-
-    def test_beta_restriction_on_data_runs(self):
-        cfg = small_cfg(beta=2)
-        with pytest.raises(ConfigError, match="beta"):
-            run_pipeline(cfg, rep=0)
 
     @pytest.mark.parametrize("law,method", [
         ("gaussian", "plugin"), ("gaussian", "fourier"), ("gaussian", "onb"),
@@ -219,7 +209,7 @@ class TestSharing:
         _, ecf, _ = bench._last_ecf.entry
         with pytest.raises(ValueError):
             ecf.psi_hat[0] = 0.0
-        args = (onb.HaarBasis(cfg.A, cfg.haar_levels, cfg.m), cfg.kernel_obj(), cfg.weight_obj())
+        args = (onb.HaarBasis(cfg.A, cfg.haar_levels, cfg.m), cfg.kernel_obj(), bench._WEIGHT)
         system = onb.build_eta(*args)
         assert onb.build_eta(*args) is system
         with pytest.raises(ValueError):
@@ -229,7 +219,7 @@ class TestSharing:
         kernel = small_cfg(kernel={"coeffs": [1.0, -1.0], "offsets": [[0, 0], [1, 1]]}).kernel_obj()
         for _ in range(2):
             with pytest.raises(PreconditionError):
-                onb.build_eta(onb.HaarBasis(6.0, 2, 7), kernel, small_cfg().weight_obj())
+                onb.build_eta(onb.HaarBasis(6.0, 2, 7), kernel, bench._WEIGHT)
 
     def test_threads_see_their_own_inputs(self):
         jobs = [(small_cfg(method=m, window=[20, 20], l=4.5 if m == "onb" else 1.0), rep)
@@ -331,14 +321,11 @@ class TestCli:
         path.write_text(json.dumps(cfg.to_dict()))
         return path
 
-    def _write_volumes(self, tmp_path, volumes, name="cfg.json", **over):
-        # raw JSON, since ExperimentConfig itself refuses any volumes but ones
+    def _write_volumes(self, tmp_path, volumes, **over):
+        # raw JSON, since ExperimentConfig itself refuses the key
         doc = small_cfg(**over).to_dict()
-        if volumes is None:
-            del doc["kernel"]["volumes"]
-        else:
-            doc["kernel"]["volumes"] = volumes
-        path = tmp_path / name
+        doc["kernel"]["volumes"] = volumes
+        path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         return path
 
@@ -394,7 +381,7 @@ class TestCli:
     def test_non_dominant_default_pivot_exit_code(self, tmp_path, capsys):
         # the pivot minimising e is 0.9 (e = 0.26, against 3.79 for 1.0),
         # and the Haar system needs a pivot of maximal |f_k|
-        cfg_path = self._write_cfg(tmp_path, method="onb", l=4.5, reps=1, d=1, window=[200],
+        cfg_path = self._write_cfg(tmp_path, method="onb", l=4.5, reps=1, window=[200],
                                    kernel={"coeffs": [1.0, 0.9, 0.9, 0.9, 0.9],
                                            "offsets": [[0], [1], [2], [3], [4]]})
         assert cli_main(["bench", "--config", str(cfg_path),
@@ -411,13 +398,16 @@ class TestCli:
         {"method": "onb", "A": 1e308},          # an infinite x-grid spacing
         {"bandwidth": 1e308},                   # an infinite kernel radius
         {"bandwidth": 1e308, "smooth_family": "bandlimited"},
+        {"n_N": 10 ** 400},                     # a series of ~10^1200 terms
+        {"reps": 10 ** 400},                    # 10^400 estimates held at once
     ], ids=["A", "grid_points", "haar_levels", "haar_levels_2000", "A=1e-310-fourier",
             "A=1e-310-onb", "A=1e308-onb", "bandwidth=1e308-epanechnikov",
-            "bandwidth=1e308-bandlimited"])
+            "bandwidth=1e308-bandlimited", "n_N=10^400", "reps=10^400"])
     def test_oversized_kernel_grid_exit_code(self, tmp_path, over):
-        # each grid is refused before it is allocated: by the grid budget, or
-        # because its spacing or its node count is not a normal float
-        cfg_path = self._write_cfg(tmp_path, reps=1, **over)
+        # each grid, series or batch is refused before it is allocated: by the
+        # grid or term budget, or because its spacing or node count is not a
+        # normal float
+        cfg_path = self._write_cfg(tmp_path, **{"reps": 1, **over})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
 
@@ -437,16 +427,71 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg_path),
                          "--out", str(tmp_path / "out.csv")]) == 2
 
-    def test_unit_volumes_same_as_absent(self, tmp_path):
-        outputs = []
-        for i, volumes in enumerate(([1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1], None)):
-            cfg = str(self._write_volumes(tmp_path, volumes, name=f"cfg{i}.json"))
-            sample, est = tmp_path / f"s{i}.csv", tmp_path / f"e{i}.csv"
-            assert cli_main(["simulate", "--config", cfg, "--out", str(sample)]) == 0
-            assert cli_main(["estimate", "--sample", str(sample), "--config", cfg,
-                             "--out", str(est)]) == 0
-            outputs.append(sample.read_bytes() + est.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+    @pytest.mark.parametrize("over,name", [
+        ({"window": [40]}, "window"),
+        ({"window": [10, 10, 10]}, "window"),
+        ({"mesh": 0.5}, "mesh"),
+        ({"jump_law": {"kind": "tabulated", "x": [0, 1, 3, 4],
+                       "density": [0.1, 0.5, 0.5, 0.1]}}, "jump_law.x"),
+        ({"jump_law": {"kind": "tabulated", "x": [0, 2, 1, 4],
+                       "density": [0.1, 0.5, 0.5, 0.1]}}, "jump_law.x"),
+        ({"d": 2}, "'d'"),
+        ({"beta": 1}, "'beta'"),
+        ({"kernel": {"coeffs": [1.3, 0.2, 0.1, 0.1], "volumes": [1, 1, 1, 1],
+                     "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]}}, "'volumes'"),
+    ], ids=["window-1d", "window-3d", "mesh", "x-gap", "x-unordered", "d", "beta", "volumes"])
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_load_time_fault_exit_code(self, tmp_path, capsys, monkeypatch, command, over, name):
+        # refused when the config is loaded, before anything is simulated
+        def simulated(*args, **kwargs):
+            raise AssertionError("a refused config reached the simulation")
+
+        monkeypatch.setattr(bench, "sample_field", simulated)
+        monkeypatch.setattr("levyfield.cli.sample_field", simulated)
+        doc = small_cfg(reps=1).to_dict()
+        doc.update(over)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["estimated", "oracle"])
+    def test_fourier_kernel_with_scales_below_one(self, tmp_path, oracle):
+        # the benchmark kernel halved: min|scale| = 0.65, so the Fourier method
+        # reads F[g1] out to pi l / 0.65
+        cfg_path = self._write_cfg(tmp_path, reps=1, oracle_g1=oracle,
+                                   kernel={"coeffs": [0.65, 0.1, 0.05, 0.05],
+                                           "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]})
+        results = tmp_path / "r.csv"
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(results)]) == 0
+        with open(results, newline="") as fh:
+            assert np.isfinite(float(next(csv.DictReader(fh))["mse"]))
+
+    @pytest.mark.parametrize("method,coeffs", [
+        ("fourier", [1e-200, 0.5e-200]),  # f1^2 underflows, so a series scale is 0
+        ("plugin", [1e-200, 0.5e-200]),
+        ("fourier", [1e-5, 0.9e-5]),      # min|scale| 1.1e-5 asks for a 3.7e8-node u-grid
+    ], ids=["zero-scale-fourier", "zero-scale-plugin", "u-grid-budget"])
+    def test_small_series_scale_exit_code(self, tmp_path, method, coeffs):
+        cfg_path = self._write_cfg(tmp_path, method=method, reps=1,
+                                   kernel={"coeffs": coeffs, "offsets": [[0, 0], [1, 0]]})
+        assert cli_main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r.csv")]) == 3
+
+    @pytest.mark.parametrize("coeffs,reach", [([1.3, 0.2, 0.1, 0.1], np.pi),
+                                              ([0.65, 0.1, 0.05, 0.05], np.pi / 0.65)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_u_grid_reach(self, method, coeffs, reach):
+        cfg = section7_config("gaussian", method, l=1.0,
+                              kernel={**ExperimentConfig().kernel, "coeffs": coeffs})
+        u_grid = bench._u_grid(cfg, cfg.kernel_obj())
+        if method != "fourier" or reach == np.pi:
+            # the benchmark's grid, unchanged
+            assert u_grid == symmetric_grid(np.pi, 4097)
+        else:
+            assert u_grid.hi >= reach and u_grid.n % 2 == 1
+            assert u_grid.spacing == pytest.approx(2 * np.pi / 4096, rel=1e-12)
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
