@@ -81,6 +81,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("method", ["plugin", "fourier", "onb"])
+    def test_shipped_config_matches_section7(self, law, method):
+        path = Path(__file__).parents[1] / "configs" / f"{law}_{method}.json"
+        assert json.loads(path.read_text()) == section7_config(law, method).to_dict()
+
     def test_section7_parameters(self):
         assert section7_config("gaussian", "fourier").bandwidth == 0.5
         assert section7_config("exponential", "plugin").bandwidth == 1.0
