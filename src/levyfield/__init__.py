@@ -5,7 +5,7 @@ integrator's Levy density from gridded samples.
 Submodules
 ----------
 grids     uniform-grid functions, quadrature, Fourier transforms
-model     Levy triplets, jump laws, simple kernels, forward maps
+model     jump laws, simple kernels, forward maps
 simulate  seeded lattice simulation of the field
 ecf       empirical characteristic functions and the spectral g1 estimator
 invert    fixed-point series inversion (plug-in and Fourier methods)
@@ -16,7 +16,7 @@ bench     experiment pipelines, Monte Carlo batches, validation suites
 
 from .config import ExperimentConfig, section7_config
 from .grids import Grid1D, GridFunction, symmetric_grid
-from .model import JumpLaw, LevyTriplet, SimpleKernel, WeightH
+from .model import JumpLaw, SimpleKernel, WeightH
 from .simulate import GridSample, SeedSpec
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "GridFunction",
     "symmetric_grid",
     "JumpLaw",
-    "LevyTriplet",
     "SimpleKernel",
     "WeightH",
     "GridSample",

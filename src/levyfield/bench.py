@@ -40,7 +40,7 @@ import numpy as np
 from . import onb as onb_mod
 from .config import ExperimentConfig
 from .ecf import EcfEstimate, compute_ecf, fourier_g1_hat, g1_hat_at, stabilize
-from .errors import ConfigError, LevyFieldError
+from .errors import ConfigError, InvalidInputError, LevyFieldError
 from .grids import Grid1D, GridFunction, _check_budget, l2_norm, symmetric_grid
 from .invert import build_series_plan, contraction_factor, fourier_estimate, plugin_estimate
 from .model import (
@@ -155,7 +155,7 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
             est = fourier_estimate(fg1, kernel, _WEIGHT.beta, int(cfg.n_N),
                                    cfg.l, mse_grid)
         else:
-            basis = onb_mod.HaarBasis(cfg.A, int(cfg.haar_levels), int(cfg.m))
+            basis = onb_mod.HaarBasis(cfg.A, int(cfg.m))
             system = onb_mod.build_eta(basis, kernel, _WEIGHT)
             yhat = onb_mod.project_g1bar(g1_call, system)
             xhat = onb_mod.solve_coefficients(yhat, system)
@@ -167,9 +167,11 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
             b = select_bandwidth(est, cfg.smooth_family)
         est = smooth(est, SmoothingKernel(cfg.smooth_family, float(b)))
 
-    with _stage("mse"):
+    with _stage("mse"), np.errstate(over="ignore"):
         truth = GridFunction(mse_grid, g0_model(law)(mse_grid.nodes()))
         mse = l2_norm(GridFunction(mse_grid, est.values - truth.values)) ** 2
+        if not math.isfinite(mse):
+            raise InvalidInputError(f"the squared L2 error {mse} is not finite")
 
     return PipelineOutput(estimate=est, truth=truth, mse=float(mse),
                           runtime_s=time.perf_counter() - t0)
@@ -320,17 +322,19 @@ def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
     ``reps`` replications per window, on five windows of growing size in
     the dimension len(window), and fits log-log slopes; the moment bounds
     predict slopes -1 and -2 respectively.  Fewer than one replication raises
-    ConfigError.
+    ConfigError, and more than _MAX_CELLS simulated cells over all windows
+    and replications raise ResourceLimitError before any is drawn.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    d = len(cfg.window)
+    sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
+    _check_budget(reps * sum(side ** d for side in sides), "simulated cells")
     if reps < 50:
         warnings.warn(f"{reps} replications is a thin Monte Carlo basis "
                       "for rate fitting (need >= 50)", RuntimeWarning)
     kernel = cfg.kernel_obj()
     law = cfg.law_obj()
-    d = len(cfg.window)
-    sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
     u = 1.0
     seeds = cfg.seed_spec()
     psi_true = complex(field_char_fn(kernel, law, np.array([u]))[0])
@@ -436,7 +440,7 @@ def validate_onb() -> dict:
     benchmark kernel, weight and Haar basis of the default config."""
     cfg = ExperimentConfig()
     kernel, h, m = cfg.kernel_obj(), _WEIGHT, cfg.m
-    basis = onb_mod.HaarBasis(cfg.A, cfg.haar_levels, m)
+    basis = onb_mod.HaarBasis(cfg.A, m)
     system = onb_mod.build_eta(basis, kernel, h)
     dx = basis.dx
     E = system.e_values

@@ -72,7 +72,6 @@ class ExperimentConfig:
     grid_points: int = 2048
     bandwidth: float | str = 0.5
     smooth_family: str = "epanechnikov"
-    haar_levels: int = 2
     m: int = 7
     reps: int = 20
     master_seed: int = 20259
@@ -115,8 +114,8 @@ class ExperimentConfig:
         for key in c.jump_law.keys() & {"mean", "sd", "rate"}:
             if not _is_finite_real(c.jump_law[key]):
                 raise ConfigError(f"jump_law.{key} must be a finite number")
-        for name, lo in (("n_N", 0), ("grid_points", 2), ("haar_levels", 0), ("m", 1),
-                         ("reps", 1), ("master_seed", 0)):
+        for name, lo in (("n_N", 0), ("grid_points", 2), ("m", 1), ("reps", 1),
+                         ("master_seed", 0)):
             val = getattr(c, name)
             if not _is_int(val) or val < lo:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {val!r}")

@@ -17,7 +17,8 @@ samples on its half-grid) take a type-1 non-uniform FFT; the direct
 O(n*m) sum is the reference path of both and serves what is left.  Both
 fast paths agree with it to about 1e-13 of sum_j |c_j|, and the tests pin
 1e-10.  No grid may have more than ``_MAX_CELLS`` nodes
-(:func:`_check_budget`).
+(:func:`_check_budget`), and neither fast path places a point more than
+``_MAX_POSITION`` grid points from the origin.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _ES_WIDTH = 16
 # sources spread per pass of the type-1 NUFFT; bounds its per-tap scratch
 # at under 1 MB, while each of its numpy calls still covers many sources
 _SPREAD_BLOCK = 1 << 14
+# Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
+# adjacent doubles lie a whole grid point apart, so no offset between taps is left
+_MAX_POSITION = 2.0 ** 52
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -183,6 +187,19 @@ def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
     return m_r, kernel_dft
 
 
+def _tap_nodes(t: np.ndarray, m_r: int) -> np.ndarray:
+    """The nodes floor(t) mod m_r of grid positions t; t becomes, in place, the
+    offset past its node in units of half the kernel width.  A position beyond
+    _MAX_POSITION, or not finite, raises InvalidInputError before the cast."""
+    peak = np.max(np.abs(t), initial=0.0)
+    if not peak <= _MAX_POSITION:
+        raise InvalidInputError(f"non-uniform FFT position {peak:.6g} is beyond 2^52 grid points")
+    base = np.floor(t)
+    t -= base
+    t /= _ES_WIDTH // 2
+    return base.astype(np.int64) & (m_r - 1)
+
+
 def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
     """Type-1 (spreading) non-uniform FFT of :func:`phase_sum` for real rows
     on the uniform targets u_m = m du, m = 0 .. n_u - 1.
@@ -216,10 +233,7 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
         xb = x[start:start + _SPREAD_BLOCK]
         w = rows[:, start:start + _SPREAD_BLOCK]
         t = xb * (-du * m_r / (2 * np.pi))
-        base = np.floor(t)
-        t -= base
-        t /= half
-        node = base.astype(np.int64) & (m_r - 1)
+        node = _tap_nodes(t, m_r)
         for tau, offset in enumerate(offsets):
             kern = _es_kernel(offset - t)
             for acc, weight, is_unit in zip(spread, w, unit):
@@ -260,10 +274,7 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
     # target k sits at t_k / h grid points; its taps are the nodes
     # floor(t_k / h) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
     t = u * (sign * x.spacing * m_r / (2 * np.pi))
-    base = np.floor(t)
-    t -= base
-    t /= half
-    node = base.astype(np.int64) & (m_r - 1)
+    node = _tap_nodes(t, m_r)
     out = np.zeros((len(rows), len(u)), dtype=complex)
     for tau in range(_ES_WIDTH):
         out += padded[:, node + tau] * _es_kernel((tau - (half - 1)) / half - t)

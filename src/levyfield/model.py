@@ -1,4 +1,4 @@
-"""Levy triplets, jump laws, simple kernels and the forward maps.
+"""Jump laws, simple kernels and the forward maps.
 
 The forward maps take the characteristics (a0, b0, v0) of the integrator
 measure to the characteristics (a1, b1, v1) of the stationary field
@@ -39,7 +39,6 @@ from .grids import GridFunction, phase_sum, trapezoid_weights
 
 __all__ = [
     "JumpLaw",
-    "LevyTriplet",
     "SimpleKernel",
     "WeightH",
     "u_function",
@@ -48,11 +47,8 @@ __all__ = [
     "forward_levy_density",
     "forward_g_transform",
     "recover_a0_b0",
-    "cumulant",
-    "charfn_x0",
     "field_char_fn",
     "field_theta",
-    "field_moments",
     "fourier_g1_model",
     "e_factor",
 ]
@@ -147,22 +143,6 @@ class JumpLaw:
         w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
         return phase_sum(1j * nodes * w, self.density_.grid, u.ravel()).reshape(u.shape)
 
-    def raw_moment(self, r: int) -> float:
-        """E[J^r] of the normalised jump distribution."""
-        if self.kind == "gaussian":
-            m, s = self.mean_, self.sd_
-            return {
-                1: m,
-                2: m * m + s * s,
-                3: m ** 3 + 3 * m * s * s,
-                4: m ** 4 + 6 * m * m * s * s + 3 * s ** 4,
-            }[r]
-        if self.kind == "exponential":
-            return math.factorial(r) / self.rate_ ** r
-        nodes = self.density_.grid.nodes()
-        w = trapezoid_weights(self.density_.grid) * self.density_.values / self.mass
-        return float(np.sum(w * nodes ** r))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw from the normalised jump density."""
         if self.kind == "gaussian":
@@ -207,23 +187,6 @@ class JumpLaw:
         val, _ = integrate.quad(lambda x: float(fn(np.array([x]))[0]) * float(self.pdf(x)),
                                 a, b, limit=200)
         return val
-
-
-# ---------------------------------------------------------------------------
-# triplets
-
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """(a, b, v): drift, Gaussian variance and Levy density."""
-
-    a: float
-    b: float
-    v: JumpLaw | None
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise InvalidInputError("gaussian variance b must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +271,6 @@ class SimpleKernel:
     @property
     def d(self) -> int:
         return self.offsets.shape[1]
-
-    @property
-    def m_range(self) -> int:
-        """Diameter of the offset set in sup-norm; dependence range of the
-        integer-sampled field."""
-        if self.n == 1:
-            return 0
-        diffs = self.offsets[:, None, :] - self.offsets[None, :, :]
-        return int(np.max(np.abs(diffs)))
 
     def groups(self) -> list[tuple[float, np.ndarray]]:
         return _snap_groups(self.coeffs)
@@ -445,30 +399,7 @@ def recover_a0_b0(kernel: SimpleKernel, a1: float, b1: float,
 
 
 # ---------------------------------------------------------------------------
-# cumulants and characteristic functions
-
-
-def cumulant(triplet: LevyTriplet, t: float) -> complex:
-    """K(t) = i t a - t^2 b / 2 + integral (e^{itx} - 1 - itx 1_{[-1,1]}(x)) v(x) dx."""
-    out = 1j * t * triplet.a - 0.5 * t * t * triplet.b
-    v = triplet.v
-    if v is None or t == 0:
-        return out
-    lo, hi = v.support_bounds()
-    re = 0.0
-    im = 0.0
-    for a, b in ((lo, -1.0), (-1.0, 1.0), (1.0, hi)):
-        re += v._integral(lambda x: np.cos(t * x) - 1.0, a, b)
-        if a == -1.0 and b == 1.0:
-            im += v._integral(lambda x: np.sin(t * x) - t * x, a, b)
-        else:
-            im += v._integral(lambda x: np.sin(t * x), a, b)
-    return out + re + 1j * im
-
-
-def charfn_x0(kernel: SimpleKernel, triplet: LevyTriplet, u: float) -> complex:
-    """Characteristic function of X(0): exp{ sum_k K(u f_k) }."""
-    return complex(np.exp(sum(cumulant(triplet, u * fk) for fk in kernel.coeffs)))
+# characteristic functions
 
 
 def field_char_fn(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
@@ -484,21 +415,6 @@ def field_char_fn(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
 def field_theta(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:
     """theta(u) = E[Y0 e^{iuY0}] = -i psi'(u) = psi(u) F[g1](u)."""
     return field_char_fn(kernel, law, u) * fourier_g1_model(kernel, law, u)
-
-
-def field_moments(kernel: SimpleKernel, law: JumpLaw) -> dict:
-    """Exact moments of Y0 = X(0) for the compound Poisson field.
-
-    Cumulants: kappa_r = mass sum_k f_k^r m_r with m_r the raw jump moments.
-    """
-    kappa = {r: law.mass * float(np.sum(kernel.coeffs ** r)) * law.raw_moment(r)
-             for r in (1, 2, 3, 4)}
-    k1, k2, k3, k4 = kappa[1], kappa[2], kappa[3], kappa[4]
-    mean = k1
-    var = k2
-    m2 = k2 + k1 ** 2
-    m4 = k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4
-    return {"mean": mean, "var": var, "second": m2, "fourth": m4}
 
 
 def fourier_g1_model(kernel: SimpleKernel, law: JumpLaw, u) -> np.ndarray:

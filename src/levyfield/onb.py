@@ -55,31 +55,25 @@ _N_CELLS = 2048
 class HaarBasis:
     """First ``m`` Haar functions on [-A, A].
 
-    Ordering: scaling function, then wavelets by (level asc, shift asc);
-    levels 0..J provide 2^(J+1) functions in total.  The midpoint
-    discretisation has ``n_cells`` cells: _N_CELLS rounded up to a
-    multiple of 2^(J+1), so every dyadic breakpoint is a cell boundary.
+    Ordering: scaling function, then wavelets by (level asc, shift asc).
+    The midpoint discretisation has ``n_cells`` cells: _N_CELLS rounded up
+    to a multiple of 2^bit_length(m - 1), the half-cell count of the finest
+    level in use, so every breakpoint is a cell boundary.  The m * n_cells
+    basis values are budgeted before anything is allocated.
     """
 
     A: float
-    levels: int
     m: int
     n_cells: int = field(init=False)
 
     def __post_init__(self):
         if self.A <= 0:
             raise InvalidInputError("half-width A must be positive")
-        if self.levels < 0:
-            raise InvalidInputError("levels must be >= 0")
-        # _N_CELLS rounds up to whole blocks of 2^(levels+1) cells; past 63
-        # levels any block exceeds the budget, so the power is capped there
-        block = 2 ** min(self.levels + 1, 64)
-        cells = int(-(-_N_CELLS // block) * block)
-        _check_budget(cells, "Haar cells")
-        if not 1 <= self.m <= block:
-            raise InvalidInputError(
-                f"m must lie in [1, {block}] for {self.levels} wavelet levels"
-            )
+        if self.m < 1:
+            raise InvalidInputError(f"m must be >= 1, got {self.m}")
+        block = 2 ** (self.m - 1).bit_length()
+        cells = -(-_N_CELLS // block) * block
+        _check_budget(self.m * cells, "Haar basis values (m x cells)")
         object.__setattr__(self, "n_cells", cells)
         if not np.finfo(float).tiny <= self.dx < np.inf:
             raise InvalidInputError(f"Haar cell width {self.dx} is not a finite normal float")

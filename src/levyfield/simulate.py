@@ -101,8 +101,8 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
 
     All lattice cells touching window (-) offsets are drawn i.i.d. in
     row-major order, then combined by shifted slices, so the dependence
-    structure of the field is exact and m-dependence holds with
-    m = kernel.m_range by construction.
+    structure of the field is exact and m-dependence holds by construction,
+    with m the largest extent of the offsets along any axis.
     """
     window = tuple(int(w) for w in window)
     if len(window) != kernel.d:

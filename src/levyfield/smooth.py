@@ -44,7 +44,6 @@ __all__ = [
     "check_k3",
     "k1_mass_error",
     "select_bandwidth",
-    "sobolev_norm",
 ]
 
 _FAMILIES = ("gaussian", "epanechnikov", "bandlimited")
@@ -276,13 +275,3 @@ def select_bandwidth(est: GridFunction, family: str) -> float:
         for b in b_range
     ])
     return float(b_range[int(np.argmin(objectives))])
-
-
-def sobolev_norm(f: GridFunction, delta: float) -> float:
-    """|| F[f](u) (1 + u^2)^{delta/2} ||_2 by quadrature on 4097 nodes of
-    [-60, 60]."""
-    u_grid = symmetric_grid(60.0, 4097)
-    spec = fourier_forward(f, u_grid)
-    w = trapezoid_weights(u_grid)
-    u = u_grid.nodes()
-    return math.sqrt(float(np.sum(w * np.abs(spec.values) ** 2 * (1 + u * u) ** delta)))

@@ -215,7 +215,7 @@ class TestSharing:
         _, ecf, _ = bench._last_ecf.entry
         with pytest.raises(ValueError):
             ecf.psi_hat[0] = 0.0
-        args = (onb.HaarBasis(cfg.A, cfg.haar_levels, cfg.m), cfg.kernel_obj(), bench._WEIGHT)
+        args = (onb.HaarBasis(cfg.A, cfg.m), cfg.kernel_obj(), bench._WEIGHT)
         system = onb.build_eta(*args)
         assert onb.build_eta(*args) is system
         with pytest.raises(ValueError):
@@ -225,7 +225,7 @@ class TestSharing:
         kernel = small_cfg(kernel={"coeffs": [1.0, -1.0], "offsets": [[0, 0], [1, 1]]}).kernel_obj()
         for _ in range(2):
             with pytest.raises(PreconditionError):
-                onb.build_eta(onb.HaarBasis(6.0, 2, 7), kernel, bench._WEIGHT)
+                onb.build_eta(onb.HaarBasis(6.0, 7), kernel, bench._WEIGHT)
 
     def test_threads_see_their_own_inputs(self):
         jobs = [(small_cfg(method=m, window=[20, 20], l=4.5 if m == "onb" else 1.0), rep)
@@ -397,8 +397,8 @@ class TestCli:
     @pytest.mark.parametrize("over", [
         {"A": 1e-9},                            # a ~1e12-node kernel grid
         {"grid_points": 2_000_000_000},         # a 2e9-node x-grid
-        {"method": "onb", "haar_levels": 45},   # 2^46 Haar cells
-        {"method": "onb", "haar_levels": 2000},  # 2048 / 2^2001 underflows a float
+        {"method": "onb", "m": 2 ** 45 + 1},    # 2^46 Haar cells
+        {"method": "onb", "m": 8192},           # 8192 functions on 8192 cells
         {"A": 1e-310},                          # a subnormal x-grid spacing
         {"method": "onb", "A": 1e-310},
         {"method": "onb", "A": 1e308},          # an infinite x-grid spacing
@@ -406,16 +406,28 @@ class TestCli:
         {"bandwidth": 1e308, "smooth_family": "bandlimited"},
         {"n_N": 10 ** 400},                     # a series of ~10^1200 terms
         {"reps": 10 ** 400},                    # 10^400 estimates held at once
-    ], ids=["A", "grid_points", "haar_levels", "haar_levels_2000", "A=1e-310-fourier",
+        {"l": 1e300},                           # ECF positions past 2^52 grid points
+        {"jump_law": {"kind": "gaussian", "mean": 1e300, "sd": 1.0}},
+        {"A": 1e30},                            # x-grid positions past 2^52
+        {"oracle_g1": True, "jump_law": {"kind": "tabulated", "x": [-4, -2, 0, 2, 4],
+                                         "density": [1e300] * 5}},  # squared error overflows
+    ], ids=["A", "grid_points", "m=2^45+1", "m=8192", "A=1e-310-fourier",
             "A=1e-310-onb", "A=1e308-onb", "bandwidth=1e308-epanechnikov",
-            "bandwidth=1e308-bandlimited", "n_N=10^400", "reps=10^400"])
+            "bandwidth=1e308-bandlimited", "n_N=10^400", "reps=10^400", "l=1e300",
+            "mean=1e300", "A=1e30", "density=1e300"])
     def test_oversized_kernel_grid_exit_code(self, tmp_path, over):
         # each grid, series or batch is refused before it is allocated: by the
         # grid or term budget, or because its spacing or node count is not a
-        # normal float
+        # normal float; and so is a point past either non-uniform FFT's
+        # bound, or a squared error that is not finite
         cfg_path = self._write_cfg(tmp_path, **{"reps": 1, **over})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
+
+    def test_appendix_rates_budget_exit_code(self, monkeypatch):
+        # 10^12 replications of 14584 cells, refused before the first sample
+        monkeypatch.setattr(bench, "sample_field", None)  # a call would be exit 1
+        assert cli_main(["validate", "--suite", "appendix-rates", "--reps", str(10 ** 12)]) == 3
 
     def test_onb_non_unit_volumes_exit_code(self, tmp_path):
         cfg_path = self._write_volumes(tmp_path, [2.0, 1.0, 1.0, 1.0], method="onb",
@@ -443,9 +455,11 @@ class TestCli:
                        "density": [0.1, 0.5, 0.5, 0.1]}}, "jump_law.x"),
         ({"d": 2}, "'d'"),
         ({"beta": 1}, "'beta'"),
+        ({"haar_levels": 2}, "'haar_levels'"),
         ({"kernel": {"coeffs": [1.3, 0.2, 0.1, 0.1], "volumes": [1, 1, 1, 1],
                      "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]}}, "'volumes'"),
-    ], ids=["window-1d", "window-3d", "mesh", "x-gap", "x-unordered", "d", "beta", "volumes"])
+    ], ids=["window-1d", "window-3d", "mesh", "x-gap", "x-unordered", "d", "beta", "haar_levels",
+            "volumes"])
     @pytest.mark.parametrize("command", ["bench", "simulate"])
     def test_load_time_fault_exit_code(self, tmp_path, capsys, monkeypatch, command, over, name):
         # refused when the config is loaded, before anything is simulated

@@ -1,13 +1,17 @@
 """Property tests of the CLI's exit codes.
 
 Generated configs and sample CSVs, well formed or not, end in 0, 2, 3 or
-4, never in a traceback (exit 1).  Each structural config fault ends in
-exactly 2, before anything is simulated.
+4, never in a traceback (exit 1), under ``simulate``, ``bench``,
+``estimate`` and ``validate --suite appendix-rates``.  Every exit 0 of
+``bench`` or ``estimate`` prints a finite MSE.  Each structural config
+fault ends in exactly 2, before anything is simulated.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -33,38 +37,64 @@ json_values = (specials | scalars | st.lists(scalars, max_size=4)
                | st.dictionaries(st.text(max_size=3), scalars, max_size=2))
 
 
-def run_cli(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+def exit_code(command: str, doc, sample: str = "", reps: int = 1) -> int:
+    """The exit code of ``command`` on the config ``doc`` (with ``sample`` for
+    estimate, ``reps`` for validate); an exit 0 of bench or estimate must print a finite MSE."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, csv_out, csv_in = (str(Path(tmp) / name) for name in ("c.json", "o.csv", "s.csv"))
+        Path(cfg).write_text(json.dumps(doc))
+        Path(csv_in).write_text(sample)
+        args = {"validate": ["--suite", "appendix-rates", "--reps", str(reps)],
+                "estimate": ["--sample", csv_in, "--out", csv_out]}
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", cfg, *args.get(command, ["--out", csv_out])])
+    if code == 0 and command in ("bench", "estimate"):
+        assert math.isfinite(float(re.search(r"(mean MSE |mse=)(\S+)", out.getvalue())[2]))
+    return code
 
 
-def run_with_config(command: str, doc, tmp: Path, sample: str | None = None) -> int:
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    argv = [command, "--config", str(cfg), "--out", str(tmp / "out.csv")]
-    if command == "estimate":
-        (tmp / "sample.csv").write_text(sample)
-        argv += ["--sample", str(tmp / "sample.csv")]
-    return run_cli(argv)
-
-
-def with_value(key, value):
-    doc = json.loads(json.dumps(BASE))
-    doc[key] = value
+def with_value(key, value, doc=BASE):
+    doc = json.loads(json.dumps(doc))
+    *outer, key = key if isinstance(key, tuple) else (key,)
+    (doc[outer[0]] if outer else doc)[key] = value
     return doc
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(["bench", "simulate"]), path=st.sampled_from(PATHS),
-       value=json_values, law=st.sampled_from(LAWS),
-       method=st.sampled_from(["plugin", "fourier", "onb"]))
-def test_any_field_value_maps_to_an_exit_code(command, path, value, law, method):
-    doc = with_value("jump_law", dict(law))
-    doc["method"] = method
-    *outer, key = path
-    (doc[outer[0]] if outer else doc)[key] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        assert run_with_config(command, doc, Path(tmp)) in (0, 2, 3, 4)
+def box_rows(shape):
+    return [[i, j] for i in range(shape[0]) for j in range(shape[1])]
+
+
+def csv_text(header, rows):
+    return "".join(line + "\n" for line in [header] + [",".join(map(str, r)) for r in rows])
+
+
+@st.composite
+def small_sample(draw):
+    """A well-formed sample CSV of a box of at most 5x5 lattice points."""
+    rows = box_rows((draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    return csv_text("j1,j2,value", [r + [draw(st.floats(-5, 5))] for r in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["bench", "simulate", "estimate", "validate"]),
+       path=st.sampled_from(PATHS), value=json_values, law=st.sampled_from(LAWS),
+       method=st.sampled_from(["plugin", "fourier", "onb"]), sample=small_sample(),
+       reps=st.integers(1, 3))
+def test_any_field_value_maps_to_an_exit_code(command, path, value, law, method, sample, reps):
+    doc = with_value(path, value, {**BASE, "jump_law": law, "method": method})
+    assert exit_code(command, doc, sample, reps) in (0, 2, 3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["bench", "estimate"]),
+       path=st.sampled_from(["l", "A", "bandwidth", ("jump_law", "mean"), ("jump_law", "sd")]),
+       value=st.floats(-308, 308).filter(lambda e: abs(e) >= 3).map(lambda e: 10.0 ** e),
+       method=st.sampled_from(["plugin", "fourier", "onb"]), sample=small_sample())
+def test_extreme_number_maps_to_an_exit_code(command, path, value, method, sample):
+    # 10^±3 .. 10^±308, where grids and sums may stop resolving anything
+    doc = with_value(path, value, {**BASE, "method": method})
+    assert exit_code(command, doc, sample) in (0, 2, 3, 4)
 
 
 def tabulated(x):
@@ -90,7 +120,7 @@ structural_faults = st.one_of(
     .map(lambda w: with_value("window", w)),
     st.floats(0.01, 50).filter(lambda v: not v.is_integer()).map(lambda v: with_value("mesh", v)),
     bad_x().map(lambda law: with_value("jump_law", law)),
-    st.builds(with_value, st.sampled_from(["d", "beta"]), json_values),
+    st.builds(with_value, st.sampled_from(["d", "beta", "haar_levels"]), json_values),
     json_values.map(lambda v: with_value("kernel", {**BASE["kernel"], "volumes": v})),
 )
 
@@ -101,18 +131,9 @@ def test_structural_fault_exits_2_at_load(command, doc):
     saved = bench.sample_field, cli.sample_field
     bench.sample_field = cli.sample_field = None  # a call would fail with exit 1
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            assert run_with_config(command, doc, Path(tmp)) == 2
+        assert exit_code(command, doc) == 2
     finally:
         bench.sample_field, cli.sample_field = saved
-
-
-def box_rows(shape):
-    return [[i, j] for i in range(shape[0]) for j in range(shape[1])]
-
-
-def csv_text(header, rows):
-    return "".join(line + "\n" for line in [header] + [",".join(map(str, r)) for r in rows])
 
 
 values = st.floats(-5, 5) | st.sampled_from(["nan", "inf", "x", "", "1e308", "-0"])
@@ -143,10 +164,7 @@ def mutated_box(draw):
 @given(header=st.sampled_from(["j1,j2,value", "j1,value", "value", "j1,j2,val", ""]),
        rows=ragged_rows | mutated_box(), method=st.sampled_from(["plugin", "fourier", "onb"]))
 def test_any_sample_csv_maps_to_an_exit_code(header, rows, method):
-    doc = with_value("method", method)
-    with tempfile.TemporaryDirectory() as tmp:
-        code = run_with_config("estimate", doc, Path(tmp), sample=csv_text(header, rows))
-    assert code in (0, 2, 3, 4)
+    assert exit_code("estimate", with_value("method", method), csv_text(header, rows)) in (0, 2, 3, 4)
 
 
 def test_base_config_is_valid():

@@ -20,7 +20,6 @@ from levyfield.grids import (
 )
 from levyfield.model import (
     field_char_fn,
-    field_moments,
     field_theta,
     forward_levy_density,
     fourier_g1_model,
@@ -38,6 +37,7 @@ from levyfield.ecf import (
     stabilize,
     theorem_bound_g1,
 )
+from oracles import field_moments
 
 
 def refuse(*args):

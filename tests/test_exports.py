@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -12,20 +13,10 @@ MODULES = ["levyfield"] + [f"levyfield.{m.name}" for m in pkgutil.iter_modules(l
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "levyfield"
 
-# Public names that no entry point reaches, each with the reason it stays:
-# the test that uses it as the oracle of reached code, or the ROADMAP item
-# that is to wire it in (and then drops its entry here).
+# Public names that no entry point reaches, each with the ROADMAP item that
+# is to wire it in (and then drops its entry here).  A name that only tests
+# use is an oracle, and belongs in tests/, not here.
 ALLOWLIST = {
-    "model.LevyTriplet": "oracle: test_model.py::TestCumulant::"
-                         "test_cp_cross_check_with_closed_form checks field_char_fn against it",
-    "model.cumulant": "oracle: test_model.py::TestCumulant::"
-                      "test_cp_cross_check_with_closed_form checks field_char_fn against it",
-    "model.charfn_x0": "oracle: test_model.py::TestCumulant::"
-                       "test_cp_cross_check_with_closed_form checks field_char_fn against it",
-    "model.field_moments": "oracle: the sample moment checks of test_simulate.py and test_ecf.py",
-    "model.JumpLaw.raw_moment": "oracle: field_moments, and the jump moments of test_simulate.py",
-    "model.SimpleKernel.m_range": "oracle: the m-dependence test of test_simulate.py",
-    "smooth.sobolev_norm": "oracle: test_smooth.py::test_smoothed_error_decomposition",
     "invert.plugin_error_bound": "ROADMAP item 1 reports it next to the achieved MSE",
     "invert.fourier_error_bound": "ROADMAP item 1 reports it next to the achieved MSE",
     "onb.onb_error_bound": "ROADMAP item 1 reports it next to the achieved MSE",
@@ -137,7 +128,10 @@ def _reachability():
 def test_every_public_name_is_reached_or_allowlisted():
     """Each public name, that is each module's ``__all__`` and the public
     methods and properties of the classes it exports, is reached from an
-    entry point, or is in ALLOWLIST with the reason it stays.
+    entry point, or is in ALLOWLIST with the ROADMAP item that is to wire
+    it in: its reason must cite "ROADMAP item N" with N an open item (a
+    "### N." heading of ROADMAP.md).  So no name stays in the package only
+    because tests use it; a test-only oracle lives in tests/.
 
     The roots are all code in ``cli.py``, ``scripts/``, ``perfbench/``
     (with the attribute paths that ``tracing.LAYER_SPANS`` names as
@@ -157,15 +151,20 @@ def test_every_public_name_is_reached_or_allowlisted():
     """
     public, reached = _reachability()
     unreached = {q for q, (_, _, leaf) in public.items() if leaf not in reached}
+    open_items = set(re.findall(r"^### (\d+)\.", (ROOT / "ROADMAP.md").read_text(), re.M))
     sections = [
         ("public names that no entry point reaches: wire each into a pipeline, CLI "
-         "subcommand or acceptance criterion, delete it, or add it to ALLOWLIST with the "
-         "test that uses it as an oracle or the ROADMAP item that will wire it in",
+         "subcommand or acceptance criterion, move it to tests/ if only tests use it, "
+         "delete it, or add it to ALLOWLIST with the ROADMAP item that will wire it in",
          unreached - set(ALLOWLIST)),
         ("ALLOWLIST entries whose names are reached: drop them",
          set(ALLOWLIST) & (set(public) - unreached)),
         ("ALLOWLIST entries that name no public name: drop them",
          set(ALLOWLIST) - set(public)),
+        ("ALLOWLIST entries whose reason cites no open ROADMAP item: wire the name in, "
+         "move it to tests/ if only tests use it, or delete it",
+         {q for q, why in ALLOWLIST.items()
+          if not set(re.findall(r"ROADMAP item (\d+)", why)) & open_items}),
     ]
     report = [f"{title}:\n" + "\n".join(
         f"  {public[q][0]}:{public[q][1]}: {q}" if q in public else f"  {q}"

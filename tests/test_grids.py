@@ -215,6 +215,18 @@ class TestInterpolatingNufft:
         assert err <= 1e-10 * np.sum(np.abs(coef))
 
 
+@pytest.mark.parametrize("far", [1e20, np.inf, np.nan])
+@pytest.mark.parametrize("cast", ["type-1 source", "type-2 target"])
+def test_position_past_bound_refused_before_cast(cast, far):
+    # past 2^52 fine-grid points a position keeps no offset between its taps
+    u = 0.01 * np.arange(64)
+    with pytest.raises(InvalidInputError, match="beyond 2\\^52"):
+        if cast == "type-1 source":  # the ECF's samples
+            grids.phase_sum(np.ones(40), np.append(np.zeros(39), far), u)
+        else:  # a transform of a GridFunction
+            grids.phase_sum(np.ones(40), Grid1D(-1.0, 1.0, 40), np.append(u, far))
+
+
 class TestPlancherel:
     def test_relative_identity(self):
         # margin at least 4x the effective support radius of the density

@@ -31,18 +31,18 @@ def kernel_1d(coeffs):
 
 @pytest.fixture
 def bench_system(bench_kernel, h_linear):
-    return build_eta(HaarBasis(6.0, 2, 7), bench_kernel, h_linear)
+    return build_eta(HaarBasis(6.0, 7), bench_kernel, h_linear)
 
 
 class TestHaarBasis:
     def test_orthonormal_to_rounding(self):
-        basis = HaarBasis(6.0, 2, 8)
+        basis = HaarBasis(6.0, 8)
         V = basis.values(basis.midpoints())
         gram = V @ V.T * basis.dx
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
     def test_ordering_scaling_then_levels(self):
-        basis = HaarBasis(1.0, 2, 8)
+        basis = HaarBasis(1.0, 8)
         x = np.array([-0.9, -0.1, 0.1, 0.9])
         # scaling function is flat
         assert np.allclose(basis.evaluate(0, x), 1 / np.sqrt(2))
@@ -52,14 +52,15 @@ class TestHaarBasis:
 
     def test_m_bounds(self):
         with pytest.raises(InvalidInputError):
-            HaarBasis(1.0, 1, 5)  # levels 0..1 provide only 4 functions
-        HaarBasis(1.0, 1, 4)
+            HaarBasis(1.0, 0)
+        HaarBasis(1.0, 1)
 
     def test_cells_align_with_breakpoints(self):
-        # 2048 cells, rounded up to whole blocks of 2^(levels+1)
-        assert HaarBasis(6.0, 10, 7).n_cells == 2048
-        assert HaarBasis(6.0, 11, 7).n_cells == 4096
-        assert HaarBasis(6.0, 12, 7).n_cells == 8192
+        # 2048 cells, rounded up to whole blocks of 2^bit_length(m - 1)
+        assert HaarBasis(6.0, 7).n_cells == 2048
+        assert HaarBasis(6.0, 2048).n_cells == 2048
+        assert HaarBasis(6.0, 2049).n_cells == 4096
+        assert HaarBasis(6.0, 4097).n_cells == 8192
 
     @pytest.mark.parametrize("A", [1.0, 6.0, 7.3])
     def test_evaluate_matches_interval_masks(self, A):
@@ -68,7 +69,7 @@ class TestHaarBasis:
         # midpoints, the midpoints scaled as build_eta scales them for the
         # bench kernel and [1.0, -0.3], the x-grid nodes, and every
         # breakpoint with its float neighbours
-        basis = HaarBasis(A, 4, 32)
+        basis = HaarBasis(A, 32)
         mid = basis.midpoints()
         cells = []  # (left, width, amp) of each wavelet j >= 1
         for j in range(1, basis.m):
@@ -92,13 +93,13 @@ class TestHaarBasis:
     @pytest.mark.parametrize("A", [1e-310, 1e308])
     def test_cell_width_beyond_normal_floats_rejected(self, A):
         with pytest.raises(InvalidInputError, match="finite normal float"):
-            HaarBasis(A, 2, 7)
+            HaarBasis(A, 7)
 
 
 class TestBuildEta:
     def test_identity_kernel(self, h_linear):
         k = kernel_1d([1.0])
-        basis = HaarBasis(2.0, 1, 4)
+        basis = HaarBasis(2.0, 4)
         system = build_eta(basis, k, h_linear)
         V = basis.values(basis.midpoints())
         assert np.allclose(system.eta_values, V, atol=1e-14)
@@ -127,18 +128,18 @@ class TestBuildEta:
         # the default pivot 0.9 (e = 0.26, against 3.79 for 1.0) is not maximal
         k = kernel_1d([1.0, 0.9, 0.9, 0.9, 0.9])
         with pytest.raises(PreconditionError, match="dominate"):
-            build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
+            build_eta(HaarBasis(2.0, 4), k, h_linear)
 
     def test_contraction_violation_rejected(self, h_linear):
         k = kernel_1d([1.0, -1.0])
         with pytest.raises(PreconditionError, match="contraction"):
-            build_eta(HaarBasis(2.0, 1, 4), k, h_linear)
+            build_eta(HaarBasis(2.0, 4), k, h_linear)
 
     @pytest.mark.parametrize("coeffs", [None, [1.0, -0.3]], ids=["bench", "1d"])
     def test_rows_match_explicit_sum(self, coeffs, bench_kernel, h_linear):
         # eta_j(x) = sum_k (1/|f_k|) (h(x)/h((f1/f_k) x)) psi_j((f1/f_k) x)
         kernel = bench_kernel if coeffs is None else kernel_1d(coeffs)
-        basis = HaarBasis(6.0, 2, 7)
+        basis = HaarBasis(6.0, 7)
         system = build_eta(basis, kernel, h_linear)
         f1 = system.pivot_value
         mid = basis.midpoints()
@@ -183,13 +184,13 @@ class TestProjection:
 
 class TestSolve:
     def test_single_function(self, bench_kernel, h_linear):
-        system = build_eta(HaarBasis(6.0, 0, 1), bench_kernel, h_linear)
+        system = build_eta(HaarBasis(6.0, 1), bench_kernel, h_linear)
         eta_norm = np.sqrt(system.ip(system.eta_values[0], system.eta_values[0]))
         x = solve_coefficients(np.array([0.5]), system)
         assert x[0] == pytest.approx(0.5 / eta_norm, rel=1e-12)
 
     def test_identity_mix(self, h_linear):
-        system = build_eta(HaarBasis(2.0, 1, 4), kernel_1d([1.0]), h_linear)
+        system = build_eta(HaarBasis(2.0, 4), kernel_1d([1.0]), h_linear)
         y = np.array([1.0, -2.0, 3.0, 0.25])
         assert np.allclose(solve_coefficients(y, system), y, atol=1e-12)
 
@@ -226,12 +227,12 @@ class TestSolve:
 
 class TestEstimate:
     def test_zero_coefficients(self):
-        basis = HaarBasis(6.0, 2, 7)
+        basis = HaarBasis(6.0, 7)
         out = onb_estimate(np.zeros(7), basis, midpoint_grid(basis))
         assert np.all(out.values == 0)
 
     def test_support_confined(self):
-        basis = HaarBasis(2.0, 1, 4)
+        basis = HaarBasis(2.0, 4)
         out = onb_estimate(np.ones(4), basis, symmetric_grid(5.0, 401))
         x = out.grid.nodes()
         assert np.all(out.values[np.abs(x) > 2.0] == 0)
@@ -253,7 +254,7 @@ class TestEstimate:
         lambda x: np.where(np.asarray(x) > 0, np.asarray(x) * np.exp(-np.clip(x, 0, None)), 0.0),
     ])
     def test_tail_decay_through_full_levels(self, g0):
-        basis = HaarBasis(6.0, 4, 32)
+        basis = HaarBasis(6.0, 32)
         mid = basis.midpoints()
         vals = g0(mid)
         coefs = basis.values(mid) @ vals * basis.dx
@@ -285,8 +286,8 @@ class TestErrorBound:
     def test_bound_honesty_exact_inputs(self, bench_kernel, h_linear):
         # measured error of the exact-input pipeline never exceeds the bound
         # evaluated with the measured tail and projection terms
-        system = build_eta(HaarBasis(6.0, 2, 7), bench_kernel, h_linear)
-        big = build_eta(HaarBasis(6.0, 5, 64), bench_kernel, h_linear)
+        system = build_eta(HaarBasis(6.0, 7), bench_kernel, h_linear)
+        big = build_eta(HaarBasis(6.0, 64), bench_kernel, h_linear)
         basis = system.basis
         mid = basis.midpoints()
         g0_vals = mid * phi(mid)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import sici
 
 from levyfield.errors import DivergentBoundError, InvalidInputError
@@ -23,7 +24,6 @@ from levyfield.smooth import (
     k1_mass_error,
     select_bandwidth,
     smooth,
-    sobolev_norm,
 )
 from levyfield.smooth import _fejer_mass
 
@@ -258,8 +258,11 @@ class TestTheoremStructure:
         w = trapezoid_weights(grid)
         l1 = float(np.sum(w * np.abs(truth.values)))
         delta = 2.0
+        # ||F[g0](u) (1 + u^2)^{delta/2}||_2, with |F[g0](u)|^2 = u^2 e^{-u^2}
+        sobolev_sq, _ = integrate.quad(lambda u: u * u * np.exp(-u * u) * (1 + u * u) ** delta,
+                                       -np.inf, np.inf)
         # sup |F[K_b]| = 1 for a probability density K_b
         _, c1 = check_k3(family)
         rhs = est_err / (2 * np.pi) \
-            + np.sqrt(l1) * np.sqrt(sobolev_norm(truth, delta)) * a_delta(b, delta, c1)
+            + np.sqrt(l1) * sobolev_sq ** 0.25 * a_delta(b, delta, c1)
         assert lhs <= rhs
