@@ -20,8 +20,19 @@ of each, and handed to the next call of another method whose inputs are
 the same.  So consecutive calls for the methods of one (law,
 replication) simulate once, and plug-in and Fourier on one u-grid
 (:func:`_u_grid`) compute one ECF.  A call given its own ``sample``
-neither reads nor fills these entries.  The ONB systems are kept by
-:func:`onb.build_eta` itself.
+neither reads nor fills these entries.
+
+What depends on the config alone is kept per config and reused by every
+later call: the kernel and jump law objects, the x-grid with the true g0
+on it and the u-grid (the last _SETUPS configs, keyed on every field they
+read), and, in their own modules, the series plans and the Fourier
+method's condition factor (:func:`invert.build_series_plan`), the ONB
+systems (:func:`onb.build_eta`) and the smoothing taps
+(:meth:`smooth.SmoothingKernel.grid_function`).  Kept arrays are
+read-only.  Each call still computes afresh what depends on its sample
+or its estimate: the ECF (unless taken over as above), an oracle g1, the
+estimate, its smoothing and its MSE; and it still gives every warning
+and refusal of its inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +40,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 import time
 import warnings
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -99,7 +112,8 @@ class PipelineOutput:
     """One replication's estimate, the truth and their squared L2
     distance.  ``runtime_s`` is the call's wall time, which includes the
     simulation and the ECF only when this call computed them, not when it
-    took them over from the previous call (see the module docstring)."""
+    took them over from the previous call, and the config-only setup only
+    in the first call of a config (see the module docstring)."""
 
     estimate: GridFunction
     truth: GridFunction
@@ -130,16 +144,15 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
     is how the estimate subcommand consumes sample files.
     """
     t0 = time.perf_counter()
-    kernel = cfg.kernel_obj()
-    law = cfg.law_obj()
-    mse_grid = symmetric_grid(cfg.A, cfg.grid_points)
-    with _stage(cfg.method):
-        u_grid = _u_grid(cfg, kernel)
+    setup = _setups.get(_json_key(cfg.kernel, cfg.jump_law, cfg.A, cfg.grid_points,
+                                  cfg.method, cfg.l, cfg.n_N),
+                        lambda: _config_setup(cfg))
+    kernel, law, mse_grid, u_grid = setup.kernel, setup.law, setup.truth.grid, setup.u_grid
 
     if cfg.oracle_g1:
         g1_call = g1_model(kernel, law)
     else:
-        ecf = _stabilized_ecf(cfg, rep, sample, u_grid)
+        ecf = _stabilized_ecf(cfg, rep, sample, setup)
 
         def g1_call(pts, _ecf=ecf, _l=cfg.l):
             return g1_hat_at(_ecf, _l, pts)
@@ -167,14 +180,42 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
             b = select_bandwidth(est, cfg.smooth_family)
         est = smooth(est, SmoothingKernel(cfg.smooth_family, float(b)))
 
+    truth = setup.truth
     with _stage("mse"), np.errstate(over="ignore"):
-        truth = GridFunction(mse_grid, g0_model(law)(mse_grid.nodes()))
         mse = l2_norm(GridFunction(mse_grid, est.values - truth.values)) ** 2
         if not math.isfinite(mse):
             raise InvalidInputError(f"the squared L2 error {mse} is not finite")
 
     return PipelineOutput(estimate=est, truth=truth, mse=float(mse),
                           runtime_s=time.perf_counter() - t0)
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What a pipeline call derives from its config alone: the kernel and
+    jump law objects, the true g0 on the x-grid and the ECF's u-grid."""
+
+    kernel: SimpleKernel
+    law: JumpLaw
+    truth: GridFunction
+    u_grid: Grid1D
+
+
+def _config_setup(cfg: ExperimentConfig) -> _Setup:
+    """The setup of ``cfg``, with read-only arrays."""
+    kernel = cfg.kernel_obj()
+    law = cfg.law_obj()
+    x_grid = symmetric_grid(cfg.A, cfg.grid_points)
+    with _stage(cfg.method):
+        u_grid = _u_grid(cfg, kernel)
+    with _stage("mse"), np.errstate(over="ignore"):
+        truth = GridFunction(x_grid, g0_model(law)(x_grid.nodes()))
+    arrays = [kernel.coeffs, kernel.offsets, truth.values]
+    if law.density_ is not None:
+        arrays.append(law.density_.values)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Setup(kernel=kernel, law=law, truth=truth, u_grid=u_grid)
 
 
 def _u_grid(cfg: ExperimentConfig, kernel: SimpleKernel) -> Grid1D:
@@ -209,26 +250,54 @@ class _LastValue:
         return value
 
 
+class _Kept:
+    """The values computed for the last ``size`` keys, the least recently
+    used dropped first; a compute that raises keeps nothing."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key, compute):
+        with self.lock:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return self.entries[key]
+        value = compute()
+        with self.lock:
+            self.entries[key] = value
+            if len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+        return value
+
+
 _last_sample = _LastValue()
 _last_ecf = _LastValue()
+_SETUPS = 8
+_setups = _Kept(_SETUPS)
+
+
+def _json_key(*fields) -> str:
+    """Config fields as one JSON string, a cache key."""
+    return json.dumps(fields, sort_keys=True, default=lambda a: np.asarray(a).tolist())
 
 
 def _sample_key(cfg: ExperimentConfig, rep: int) -> str:
     """Every input of the simulated sample of replication ``rep``, as JSON."""
-    return json.dumps([cfg.kernel["coeffs"], cfg.kernel["offsets"], cfg.jump_law,
-                       cfg.window, cfg.mesh, cfg.master_seed, rep],
-                      sort_keys=True, default=lambda a: np.asarray(a).tolist())
+    return _json_key(cfg.kernel["coeffs"], cfg.kernel["offsets"], cfg.jump_law,
+                     cfg.window, cfg.mesh, cfg.master_seed, rep)
 
 
-def _stabilized_ecf(cfg: ExperimentConfig, rep: int, sample, u_grid) -> EcfEstimate:
-    """Stabilised ECF of ``sample`` on ``u_grid``, with read-only arrays.
+def _stabilized_ecf(cfg: ExperimentConfig, rep: int, sample, setup: _Setup) -> EcfEstimate:
+    """Stabilised ECF of ``sample`` on the setup's u-grid, with read-only arrays.
 
     Without a sample, the replication is simulated; that sample and its
     ECF are taken over from the previous call when their inputs match."""
 
     def ecf_of(smp):
         with _stage("ecf"):
-            ecf = stabilize(compute_ecf(smp, u_grid))
+            ecf = stabilize(compute_ecf(smp, setup.u_grid))
         for arr in (ecf.psi_hat, ecf.theta_hat, ecf.stabilized_recip):
             arr.flags.writeable = False
         return ecf
@@ -238,11 +307,11 @@ def _stabilized_ecf(cfg: ExperimentConfig, rep: int, sample, u_grid) -> EcfEstim
 
     def simulate():
         with _stage("simulate"):
-            return sample_field(cfg.kernel_obj(), cfg.law_obj(), tuple(cfg.window),
+            return sample_field(setup.kernel, setup.law, tuple(cfg.window),
                                 cfg.seed_spec(), rep=rep, mesh=cfg.mesh)
 
     key = _sample_key(cfg, rep)
-    return _last_ecf.get((key, u_grid), cfg.method,
+    return _last_ecf.get((key, setup.u_grid), cfg.method,
                          lambda: ecf_of(_last_sample.get(key, cfg.method, simulate)))
 
 
@@ -289,13 +358,12 @@ def emit_results_csv(path, results: list[BenchResult]) -> None:
 
 
 def emit_estimate_csv(path, estimate: GridFunction, truth: GridFunction) -> None:
-    """`x,g0_true,g0_hat` on the estimate's grid."""
-    x = estimate.grid.nodes()
+    """`x,g0_true,g0_hat` on the estimate's grid, in csv.writer's format:
+    the repr of each value, lines ended by CRLF."""
+    columns = (estimate.grid.nodes().tolist(), truth.values.tolist(), estimate.values.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "g0_true", "g0_hat"])
-        for xi, ti, vi in zip(x, truth.values, estimate.values):
-            writer.writerow([repr(float(xi)), repr(float(ti)), repr(float(vi))])
+        fh.write("x,g0_true,g0_hat\r\n")
+        fh.write("".join(f"{xi!r},{ti!r},{vi!r}\r\n" for xi, ti, vi in zip(*columns)))
 
 
 def emit_manifest(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
@@ -323,12 +391,15 @@ def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
     the dimension len(window), and fits log-log slopes; the moment bounds
     predict slopes -1 and -2 respectively.  Fewer than one replication raises
     ConfigError, and more than _MAX_CELLS simulated cells over all windows
-    and replications raise ResourceLimitError before any is drawn.
+    and replications raise ResourceLimitError before any is drawn.  A
+    moment that is not finite (|theta_hat - theta|^4 overflows for huge
+    jumps) raises InvalidInputError before any slope is fitted.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     d = len(cfg.window)
-    sides = [10, 18, 32, 56, 100] if d == 2 else [100, 316, 1000, 3163, 10000]
+    # windows of about 10^2 .. 10^4 cells in every dimension
+    sides = [round(n ** (1 / d)) for n in (100, 316, 1000, 3163, 10000)]
     _check_budget(reps * sum(side ** d for side in sides), "simulated cells")
     if reps < 50:
         warnings.warn(f"{reps} replications is a thin Monte Carlo basis "
@@ -350,8 +421,13 @@ def validate_appendix_rates(cfg: ExperimentConfig, reps: int = 200) -> dict:
             y = sample_field(kernel, law, window, seeds, rep=rep_counter).flat()
             rep_counter += 1
             ph = np.exp(1j * u * y)
-            p_errs[r] = abs(ph.mean() - psi_true) ** 2
-            t_errs[r] = abs((ph * y).mean() - theta_true) ** 4
+            with np.errstate(over="ignore"):
+                p_errs[r] = abs(ph.mean() - psi_true) ** 2
+                t_errs[r] = abs((ph * y).mean() - theta_true) ** 4
+        for moment, errs in (("E|psi_hat - psi|^2", p_errs), ("E|theta_hat - theta|^4", t_errs)):
+            if not np.all(np.isfinite(errs)):
+                raise InvalidInputError(f"the moment {moment} at N = {n_obs} is not finite "
+                                        f"for the jump law {cfg.jump_law}")
         n_list.append(n_obs)
         e2_psi.append(float(p_errs.mean()))
         e4_theta.append(float(t_errs.mean()))

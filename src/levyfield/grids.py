@@ -367,6 +367,12 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     number of spacings (within 1e-9).  Output i is then exactly lag
     i - g.lo / spacing of the full discrete convolution, zero beyond its
     ends.
+
+    Only the lags that the output keeps are computed: ``np.convolve`` runs
+    in the narrowest of its modes whose lags cover them (``valid`` from
+    lag min(n, L) - 1, ``same`` from (min(n, L) - 1) // 2, else ``full``,
+    for lengths n and L).  Every mode computes a lag as the same dot
+    product, so the output bits do not depend on the mode.
     """
     dx = f.grid.spacing
     shift = g.grid.lo / dx
@@ -375,7 +381,17 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
             f"convolution needs g on f's lattice, got spacings {dx} vs "
             f"{g.grid.spacing} and g.lo = {shift} spacings"
         )
-    full = np.convolve(f.values, g.values) * dx
-    lag = np.arange(f.grid.n) - int(np.rint(shift))
-    valid = (lag >= 0) & (lag < len(full))
-    return GridFunction(f.grid, np.where(valid, full[np.clip(lag, 0, len(full) - 1)], 0.0))
+    n, taps = f.grid.n, g.grid.n
+    short = min(n, taps)
+    first = -int(np.rint(shift))  # the lag of output 0
+    lo, hi = max(first, 0), min(first + n, n + taps - 1)  # kept lags that exist
+    out = np.zeros(n, dtype=np.result_type(f.values, g.values, dx))
+    if lo < hi:
+        for mode, start, length in (("valid", short - 1, n + taps + 1 - 2 * short),
+                                    ("same", (short - 1) // 2, max(n, taps)),
+                                    ("full", 0, n + taps - 1)):
+            if start <= lo and hi <= start + length:
+                break
+        lags = np.convolve(f.values, g.values, mode)[lo - start:hi - start]
+        out[lo - first:hi - first] = lags * dx
+    return GridFunction(f.grid, out)

@@ -307,6 +307,17 @@ class SimpleKernel:
         return float(np.sum(self.coeffs ** 2))
 
 
+def _kernel_key(kernel: SimpleKernel) -> tuple[bytes, bytes, int]:
+    """The kernel as a cache key: the bytes of its arrays, and d."""
+    return kernel.coeffs.tobytes(), kernel.offsets.tobytes(), kernel.d
+
+
+def _kernel_of(key: tuple[bytes, bytes, int]) -> SimpleKernel:
+    """The kernel whose :func:`_kernel_key` is ``key``."""
+    coeffs, offsets, d = key
+    return SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d))
+
+
 def e_factor(kernel: SimpleKernel, h: WeightH, pivot_value: float) -> float:
     """Contraction factor e(f, h) = (1/n1) sum_{k not in Q} s_k (|f1|/|f_k|)^{1/2}."""
     _, q_idx, n1 = kernel.pivot_info(pivot_value=pivot_value)

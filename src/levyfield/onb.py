@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grids import Grid1D, GridFunction, _check_budget
-from .model import SimpleKernel, WeightH, e_factor, forward_g_transform
+from .model import SimpleKernel, WeightH, _kernel_key, _kernel_of, e_factor, forward_g_transform
 
 __all__ = [
     "HaarBasis",
@@ -156,17 +156,15 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     later calls with the same basis, weight and kernel (coefficients and
     offsets); a call that raises keeps nothing.
     """
-    return _eta_system(basis, h, kernel.coeffs.tobytes(), kernel.offsets.tobytes(), kernel.d)
+    return _eta_system(basis, h, _kernel_key(kernel))
 
 
 _ETA_SYSTEMS = 8
 
 
 @functools.lru_cache(maxsize=_ETA_SYSTEMS)
-def _eta_system(basis: HaarBasis, h: WeightH, coeffs: bytes, offsets: bytes,
-                d: int) -> EtaSystem:
-    # the kernel arrives as the bytes of its arrays, which makes it a cache key
-    kernel = SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d))
+def _eta_system(basis: HaarBasis, h: WeightH, kernel_key: tuple) -> EtaSystem:
+    kernel = _kernel_of(kernel_key)
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import os
+import warnings
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyfield import bench, onb
+from levyfield import bench, invert, onb, smooth
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
@@ -21,7 +23,7 @@ from levyfield.bench import (
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
 from levyfield.errors import ConfigError, PreconditionError
-from levyfield.grids import symmetric_grid
+from levyfield.grids import GridFunction, symmetric_grid
 from levyfield.simulate import SeedSpec, sample_field
 
 
@@ -147,15 +149,18 @@ def counted(monkeypatch):
 
 
 def fresh_estimate(cfg, rep, sample=None):
-    """The estimate of a run_pipeline call that finds nothing computed
-    before it; the shared entries are put back afterwards."""
-    saved = bench._last_sample, bench._last_ecf
+    """The estimate of a run_pipeline call that finds nothing computed or
+    kept before it, as in a fresh process; the shared entries are put back
+    afterwards."""
+    saved = bench._last_sample, bench._last_ecf, bench._setups
     bench._last_sample, bench._last_ecf = bench._LastValue(), bench._LastValue()
-    onb._eta_system.cache_clear()
+    bench._setups = bench._Kept(bench._SETUPS)
+    for kept in (onb._eta_system, invert._series_plan, invert._spectral_factor, smooth._taps):
+        kept.cache_clear()
     try:
         return run_pipeline(cfg, rep, sample=sample).estimate.values
     finally:
-        bench._last_sample, bench._last_ecf = saved
+        bench._last_sample, bench._last_ecf, bench._setups = saved
 
 
 class TestSharing:
@@ -220,6 +225,39 @@ class TestSharing:
         assert onb.build_eta(*args) is system
         with pytest.raises(ValueError):
             system.mix[0, 0] = 0.0
+
+    def test_kept_config_work_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(bench, "_setups", bench._Kept(bench._SETUPS))
+        law = {"kind": "tabulated", "x": [-4.0, -2.0, 0.0, 2.0, 4.0],
+               "density": [0.05, 0.2, 0.3, 0.2, 0.05]}
+        cfg = small_cfg(method="plugin", jump_law=law, oracle_g1=True)
+        out = run_pipeline(cfg, 0)
+        (setup,) = bench._setups.entries.values()
+        assert run_pipeline(cfg, 1).truth is out.truth is setup.truth
+        taps = smooth.SmoothingKernel(cfg.smooth_family, cfg.bandwidth).grid_function(
+            out.truth.grid.spacing, out.truth.grid.n - 1)
+        for arr in (setup.kernel.coeffs, setup.kernel.offsets, setup.law.density_.values,
+                    setup.truth.values, taps.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("change", [
+        {"bandwidth": 0.8},
+        {"jump_law": {"kind": "exponential", "rate": 1.0}},
+        {"A": 5.0},
+        {"grid_points": 256},
+        {"n_N": 2},
+        {"kernel": {"coeffs": [1.4, 0.2, 0.1, 0.1],
+                    "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]}},
+    ], ids=["bandwidth", "law", "A", "grid_points", "n_N", "coeffs"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_field_apart_matches_fresh_process(self, change, method):
+        # what the first config leaves kept must not reach the second
+        base = small_cfg(method=method)
+        other = base.with_overrides(**change)
+        outs = [run_pipeline(cfg, 1).estimate.values for cfg in (base, other, base)]
+        for cfg, est in zip((base, other, base), outs):
+            assert np.array_equal(est, fresh_estimate(cfg, 1))
 
     def test_refused_eta_system_raises_every_call(self):
         kernel = small_cfg(kernel={"coeffs": [1.0, -1.0], "offsets": [[0, 0], [1, 1]]}).kernel_obj()
@@ -287,6 +325,19 @@ class TestOutputs:
         assert lines[0] == "x,g0_true,g0_hat"
         assert len(lines) == cfg.grid_points + 1
 
+    def test_estimate_csv_bytes_are_csv_writer_bytes(self, tmp_path):
+        grid = symmetric_grid(1.0, 6)
+        est = GridFunction(grid, np.array([-0.0, 1e-05, 1e16, -1.5e-300, 0.1, 123456789.125]))
+        truth = GridFunction(grid, np.array([0.0, -1e-05, -1e16, 5e-324, 1 / 3, -2.0]))
+        path = tmp_path / "e.csv"
+        emit_estimate_csv(path, est, truth)
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(["x", "g0_true", "g0_hat"])
+        for row in zip(grid.nodes(), truth.values, est.values):
+            writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == ref.getvalue().encode()
+
     def test_manifest_contains_hash(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "m.json"
@@ -302,6 +353,17 @@ class TestAppendixRates:
         cfg = ExperimentConfig(window=[20, 20])
         with pytest.warns(RuntimeWarning, match="thin"):
             validate_appendix_rates(cfg, reps=10)
+
+    @pytest.mark.parametrize("d,n_list", [
+        (1, [100, 316, 1000, 3163, 10000]),
+        (2, [100, 324, 1024, 3136, 10000]),
+        (3, [125, 343, 1000, 3375, 10648]),
+    ])
+    def test_window_sizes_per_dimension(self, d, n_list):
+        cfg = ExperimentConfig(kernel={"coeffs": [1.0, 0.5], "offsets": [[0] * d, [1] + [0] * (d - 1)]},
+                               window=[6] * d)
+        with pytest.warns(RuntimeWarning, match="thin"):
+            assert validate_appendix_rates(cfg, reps=1)["n"] == n_list
 
     def test_iid_field_slopes_tight(self):
         # a single-cell kernel gives i.i.d. observations and the classical
@@ -428,6 +490,22 @@ class TestCli:
         # 10^12 replications of 14584 cells, refused before the first sample
         monkeypatch.setattr(bench, "sample_field", None)  # a call would be exit 1
         assert cli_main(["validate", "--suite", "appendix-rates", "--reps", str(10 ** 12)]) == 3
+
+    def test_appendix_rates_non_finite_moment_exit_code(self, tmp_path, capsys):
+        # |theta_hat - theta|^4 overflows: refused before any fit or print
+        law = {"kind": "gaussian", "mean": 1e100, "sd": 1.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(ExperimentConfig(jump_law=law).canonical_json())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["validate", "--suite", "appendix-rates", "--config", str(path),
+                             "--reps", "2"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "nan" not in err
+        assert "E|theta_hat - theta|^4" in err and "'mean': 1e+100" in err
+        assert len(err.splitlines()) == 1
+        assert not [w for w in caught if "overflow" in str(w.message)]
 
     def test_onb_non_unit_volumes_exit_code(self, tmp_path):
         cfg_path = self._write_volumes(tmp_path, [2.0, 1.0, 1.0, 1.0], method="onb",

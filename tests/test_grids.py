@@ -306,6 +306,35 @@ class TestConvolve:
         want = (np.convolve(f.values, g.values) * dx)[np.arange(grid.n) + r]
         assert np.array_equal(convolve(f, g).values, want)
 
+    @pytest.mark.parametrize("n_taps,origin", [
+        (41, -20),      # L < n: same mode
+        (300, -150),    # n <= L < 2n - 1
+        (401, -200),    # L = 2n - 1: valid mode, as Fejer smoothing
+        (1001, -500),   # L > 2n - 1
+        (50, 0),        # one-sided kernel from its origin
+        (50, -49),      # one-sided kernel up to its origin
+        (41, 30),       # kept lags start before lag 0
+        (41, -150),     # kept lags end past the last lag
+        (41, -400),     # no kept lag exists
+        (41, 300),      # none exists on the other side either
+    ], ids=["L<n", "n<=L<2n-1", "L=2n-1", "L>2n-1", "one-sided-from-0", "one-sided-to-0",
+            "before-first-lag", "past-last-lag", "all-past-last", "all-before-first"])
+    def test_kept_lags_equal_full_convolution(self, n_taps, origin):
+        # output i is lag i - origin of the full convolution, bit for bit,
+        # and zero where that lag does not exist
+        rng = np.random.default_rng(n_taps)
+        g = Grid1D(-2, 2, 201)
+        dx = g.spacing
+        f = GridFunction(g, rng.normal(size=g.n))
+        k = GridFunction(Grid1D(origin * dx, (origin + n_taps - 1) * dx, n_taps),
+                         rng.normal(size=n_taps))
+        full = np.convolve(f.values, k.values) * dx
+        lag = np.arange(g.n) - origin
+        exists = (lag >= 0) & (lag < len(full))
+        want = np.zeros(g.n)
+        want[exists] = full[lag[exists]]
+        assert np.array_equal(convolve(f, k).values, want)
+
     def test_mismatched_spacing_rejected(self):
         f = GridFunction(Grid1D(-1, 1, 101), gaussian_density(np.linspace(-1, 1, 101)))
         g = GridFunction(Grid1D(-1, 1, 100), gaussian_density(np.linspace(-1, 1, 100)))

@@ -147,6 +147,17 @@ class TestSeriesPlan:
             build_series_plan(k, h_linear, 2)
         assert any("converge" in str(w.message) for w in caught)
 
+    def test_kept_plan_warns_on_every_call(self, h_linear):
+        # the second call takes the kept plan, and still warns
+        k = kernel_1d([1.0, -1.0])
+        plans = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                plans.append(build_series_plan(k, h_linear, 2))
+            assert any("converge" in str(w.message) for w in caught)
+        assert plans[0] is plans[1]
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
     def test_grouping_equivalence_random_kernels(self, seed):
@@ -315,6 +326,17 @@ class TestFourierEstimate:
             warnings.simplefilter("always")
             fourier_estimate(fg1, k, 0, 1, 1.0, symmetric_grid(2.0, 65))
         assert any("spectral" in str(w.message) for w in caught)
+
+    def test_kept_condition_warns_on_every_call(self):
+        # the kernel of test_condition_warning, run twice
+        k = kernel_1d([1.0, 0.5, 0.4])
+        u = symmetric_grid(21.0, 513)
+        fg1 = GridFunction(u, np.zeros(513, dtype=complex))
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fourier_estimate(fg1, k, 0, 1, 1.0, symmetric_grid(2.0, 65))
+            assert any("spectral" in str(w.message) for w in caught)
 
 
 class TestFourierErrorBound:
