@@ -22,31 +22,32 @@ replication) simulate once, and plug-in and Fourier on one u-grid
 (:func:`_u_grid`) compute one ECF.  A call given its own ``sample``
 neither reads nor fills these entries.
 
-What depends on the config alone is kept per config and reused by every
-later call: the kernel and jump law objects, the x-grid with the true g0
-on it and the u-grid (the last _SETUPS configs, keyed on every field they
-read), and, in their own modules, the series plans and the Fourier
-method's condition factor (:func:`invert.build_series_plan`), the ONB
-systems (:func:`onb.build_eta`) and the smoothing taps
-(:meth:`smooth.SmoothingKernel.grid_function`).  Kept arrays are
-read-only.  Each call still computes afresh what depends on its sample
-or its estimate: the ECF (unless taken over as above), an oracle g1, the
-estimate, its smoothing and its MSE; and it still gives every warning
-and refusal of its inputs.
+What depends on the config alone is kept by the function that computes
+it, under one rule: the results of its last _KEEP argument sets are kept
+and handed out again, read-only, and a call that raises keeps nothing.
+These functions are :func:`_config_setup` (the kernel and jump law
+objects, the x-grid with the true g0 on it and the u-grid, built from the
+JSON of the config fields they read), :func:`invert.build_series_plan`
+(the series plans and both contraction factors), :func:`onb.build_eta`
+(the ONB systems) and :meth:`smooth.SmoothingKernel.grid_function` (the
+smoothing taps).  Each call still computes afresh what depends on its
+sample or its estimate: the ECF (unless taken over as above), an oracle
+g1, the estimate, its smoothing and its MSE; and it still gives every
+warning and refusal of its inputs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-import threading
 import time
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from . import onb as onb_mod
 from .config import ExperimentConfig
 from .ecf import EcfEstimate, compute_ecf, fourier_g1_hat, g1_hat_at, stabilize
 from .errors import ConfigError, InvalidInputError, LevyFieldError
-from .grids import Grid1D, GridFunction, _check_budget, l2_norm, symmetric_grid
+from .grids import _KEEP, Grid1D, GridFunction, _check_budget, l2_norm, symmetric_grid
 from .invert import build_series_plan, contraction_factor, fourier_estimate, plugin_estimate
 from .model import (
     JumpLaw,
@@ -144,9 +145,7 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
     is how the estimate subcommand consumes sample files.
     """
     t0 = time.perf_counter()
-    setup = _setups.get(_json_key(cfg.kernel, cfg.jump_law, cfg.A, cfg.grid_points,
-                                  cfg.method, cfg.l, cfg.n_N),
-                        lambda: _config_setup(cfg))
+    setup = _config_setup(_json_key(*(getattr(cfg, name) for name in _SETUP_FIELDS)))
     kernel, law, mse_grid, u_grid = setup.kernel, setup.law, setup.truth.grid, setup.u_grid
 
     if cfg.oracle_g1:
@@ -201,20 +200,24 @@ class _Setup:
     u_grid: Grid1D
 
 
-def _config_setup(cfg: ExperimentConfig) -> _Setup:
-    """The setup of ``cfg``, with read-only arrays."""
-    kernel = cfg.kernel_obj()
-    law = cfg.law_obj()
+_SETUP_FIELDS = ("kernel", "jump_law", "A", "grid_points", "method", "l", "n_N")
+
+
+@functools.lru_cache(maxsize=_KEEP)
+def _config_setup(key: str) -> _Setup:
+    """The setup built from ``key``, the JSON of a config's _SETUP_FIELDS,
+    and from nothing else.  The setups of the last _KEEP keys are kept and
+    handed out again, with read-only arrays, and a call that raises keeps
+    nothing."""
+    cfg = SimpleNamespace(**dict(zip(_SETUP_FIELDS, json.loads(key))))
+    kernel = ExperimentConfig.kernel_obj(cfg)
+    law = ExperimentConfig.law_obj(cfg)
     x_grid = symmetric_grid(cfg.A, cfg.grid_points)
     with _stage(cfg.method):
         u_grid = _u_grid(cfg, kernel)
     with _stage("mse"), np.errstate(over="ignore"):
         truth = GridFunction(x_grid, g0_model(law)(x_grid.nodes()))
-    arrays = [kernel.coeffs, kernel.offsets, truth.values]
-    if law.density_ is not None:
-        arrays.append(law.density_.values)
-    for arr in arrays:
-        arr.flags.writeable = False
+    truth.values.flags.writeable = False
     return _Setup(kernel=kernel, law=law, truth=truth, u_grid=u_grid)
 
 
@@ -250,32 +253,8 @@ class _LastValue:
         return value
 
 
-class _Kept:
-    """The values computed for the last ``size`` keys, the least recently
-    used dropped first; a compute that raises keeps nothing."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries = OrderedDict()
-        self.lock = threading.Lock()
-
-    def get(self, key, compute):
-        with self.lock:
-            if key in self.entries:
-                self.entries.move_to_end(key)
-                return self.entries[key]
-        value = compute()
-        with self.lock:
-            self.entries[key] = value
-            if len(self.entries) > self.size:
-                self.entries.popitem(last=False)
-        return value
-
-
 _last_sample = _LastValue()
 _last_ecf = _LastValue()
-_SETUPS = 8
-_setups = _Kept(_SETUPS)
 
 
 def _json_key(*fields) -> str:

@@ -56,6 +56,10 @@ _SPREAD_BLOCK = 1 << 14
 # Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
 # adjacent doubles lie a whole grid point apart, so no offset between taps is left
 _MAX_POSITION = 2.0 ** 52
+# Every function whose results depend on the config alone keeps them
+# (functools.lru_cache) for its last _KEEP argument sets; kept arrays are
+# read-only, and a call that raises keeps nothing.
+_KEEP = 8
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -171,12 +175,12 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_KEEP)
 def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
     """The periodic grid of both NUFFTs for Fourier indices |m| <= max_index:
     its size m_r, the power of two >= 4 max_index (oversampling >= 2), and
-    the DFT of the kernel sampled on it at indices 0 .. m_r / 2 (read-only,
-    shared between calls)."""
+    the DFT of the kernel sampled on it at indices 0 .. m_r / 2, kept as
+    _KEEP says."""
     m_r = 1 << (4 * max_index - 1).bit_length()
     half = _ES_WIDTH // 2
     sampled = np.zeros(m_r)
@@ -273,7 +277,8 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
     padded = np.concatenate([grid[:, m_r - half + 1:], grid, grid[:, :half]], axis=1)
     # target k sits at t_k / h grid points; its taps are the nodes
     # floor(t_k / h) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
-    t = u * (sign * x.spacing * m_r / (2 * np.pi))
+    with np.errstate(over="ignore"):  # an infinite position is refused below
+        t = u * (sign * x.spacing * m_r / (2 * np.pi))
     node = _tap_nodes(t, m_r)
     out = np.zeros((len(rows), len(u)), dtype=complex)
     for tau in range(_ES_WIDTH):

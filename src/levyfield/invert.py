@@ -29,8 +29,8 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .grids import Grid1D, GridFunction, fourier_inverse_truncated, symmetric_grid
-from .model import SimpleKernel, WeightH, _kernel_key, _kernel_of, e_factor
+from .grids import _KEEP, Grid1D, GridFunction, fourier_inverse_truncated, symmetric_grid
+from .model import SimpleKernel, WeightH, e_factor
 
 __all__ = [
     "ContractionReport",
@@ -145,14 +145,14 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
     non-pivot values, versus (n - n1)^j raw tuples; a plan of more than
     _TERM_BUDGET terms raises ResourceLimitError.
 
-    The plan depends on nothing but the arguments, so the last _PLANS plans
-    are kept and handed to later calls with the same kernel, weight and
-    depth; a call that raises keeps nothing.  Every call warns when the
-    contraction factor e(f, h) is at least 1.
+    The plan depends on the arguments alone: the plans of the last _KEEP
+    argument sets are kept and handed out again, read-only (a plan is
+    immutable), and a call that raises keeps nothing.  Every call warns
+    when the contraction factor e(f, h) is at least 1.
     """
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
-    plan, e = _series_plan(_kernel_key(kernel), h, n_trunc)
+    plan, e, _ = _series_plan(kernel, h, n_trunc)
     if e >= 1.0:
         warnings.warn(
             f"contraction factor e = {e:.6g} >= 1; the series need not converge",
@@ -161,15 +161,14 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
     return plan
 
 
-_PLANS = 8
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _series_plan(kernel_key: tuple, h: WeightH, n_trunc: int) -> tuple[SeriesPlan, float]:
-    """The plan of :func:`build_series_plan` and the contraction factor e(f, h)."""
-    kernel = _kernel_of(kernel_key)
+@functools.lru_cache(maxsize=_KEEP)
+def _series_plan(kernel: SimpleKernel, h: WeightH,
+                 n_trunc: int) -> tuple[SeriesPlan, float, float]:
+    """The plan of :func:`build_series_plan`, the contraction factor e(f, h)
+    and e(f, |.|^(beta+1/2)), the Fourier method's condition, at its pivot."""
     pivot, q_idx, n1 = kernel.pivot_info(h)
     e = e_factor(kernel, h, pivot)
+    e_spectral = e_factor(kernel, WeightH(beta=h.beta + 0.5), pivot)
     # distinct non-pivot values with multiplicities
     values = []
     counts = []
@@ -198,7 +197,7 @@ def _series_plan(kernel_key: tuple, h: WeightH, n_trunc: int) -> tuple[SeriesPla
                 terms.append(SeriesTerm(depth=j, product=prod, count=float(count),
                                         multiplicities=tuple(m)))
     return SeriesPlan(pivot_value=pivot, n1=n1, h=h, n_trunc=n_trunc,
-                      values=tuple(values), terms=tuple(terms)), e
+                      values=tuple(values), terms=tuple(terms)), e, e_spectral
 
 
 def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
@@ -257,7 +256,7 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
     beta = int(beta)
     h = WeightH(beta=beta, signed=True)
     plan = build_series_plan(kernel, h, n_trunc)
-    e_cond = _spectral_factor(_kernel_key(kernel), beta, plan.pivot_value)
+    _, _, e_cond = _series_plan(kernel, h, n_trunc)
     if e_cond >= 1.0:
         warnings.warn(
             f"e(f, |.|^(beta+1/2)) = {e_cond:.6g} >= 1; the spectral series "
@@ -282,13 +281,6 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
         f0 += w * fg1_hat(u / scale)
     est, _resid = fourier_inverse_truncated(GridFunction(u_grid, f0), x_grid)
     return est
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _spectral_factor(kernel_key: tuple, beta: int, pivot: float) -> float:
-    """e(f, |.|^(beta+1/2)) at the pivot, the Fourier method's sufficient
-    condition; kept like the plans of :func:`build_series_plan`."""
-    return e_factor(_kernel_of(kernel_key), WeightH(beta=beta + 0.5), pivot)
 
 
 def fourier_error_bound(kernel: SimpleKernel, beta: int, n_trunc: int, l: float,

@@ -93,11 +93,12 @@ class JumpLaw:
     @staticmethod
     def tabulated(density: GridFunction) -> "JumpLaw":
         """The law whose Levy density is the table, with the table's
-        trapezoid integral as its mass."""
+        trapezoid integral as its mass; it keeps a read-only copy."""
         vals = np.asarray(density.values, dtype=float)
         if np.any(vals < -1e-12):
             raise InvalidInputError("tabulated density must be nonnegative")
         vals = np.clip(vals, 0.0, None)
+        vals.flags.writeable = False
         density = GridFunction(density.grid, vals)
         total = float(np.sum(trapezoid_weights(density.grid) * vals))
         if total <= 0:
@@ -237,7 +238,7 @@ def _snap_groups(coeffs: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return [(v, np.array(sorted(ix))) for v, ix in groups]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleKernel:
     """A simple function sum_k f_k 1_{cell_k} on unit lattice cells.
 
@@ -245,14 +246,17 @@ class SimpleKernel:
     cell_k = offset_k + [0,1)^d, so every cell has volume 1 and the forward
     maps read a1 = sum_k U(f_k), b1 = b0 sum_k f_k^2 and
     v1(x) = sum_k v0(x / f_k) / |f_k|.
+
+    A kernel is a value: it keeps read-only copies of its arrays, and
+    kernels with equal array bytes are equal and hash alike.
     """
 
     coeffs: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        offsets = np.asarray(self.offsets, dtype=int)
+        coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float))
+        offsets = np.array(self.offsets, dtype=int)
         if offsets.ndim == 1:
             offsets = offsets[:, None]
         if len(coeffs) != len(offsets):
@@ -261,8 +265,21 @@ class SimpleKernel:
             raise InvalidInputError("all kernel coefficients must be nonzero finite")
         if len({tuple(o) for o in offsets}) != len(offsets):
             raise InvalidInputError("cell offsets must be pairwise distinct")
+        for arr in (coeffs, offsets):
+            arr.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offsets", offsets)
+
+    def _bytes(self) -> tuple:
+        return self.coeffs.tobytes(), self.offsets.tobytes(), self.offsets.shape
+
+    def __eq__(self, other):
+        if not isinstance(other, SimpleKernel):
+            return NotImplemented
+        return self._bytes() == other._bytes()
+
+    def __hash__(self):
+        return hash(self._bytes())
 
     @property
     def n(self) -> int:
@@ -305,17 +322,6 @@ class SimpleKernel:
 
     def sum_f2(self) -> float:
         return float(np.sum(self.coeffs ** 2))
-
-
-def _kernel_key(kernel: SimpleKernel) -> tuple[bytes, bytes, int]:
-    """The kernel as a cache key: the bytes of its arrays, and d."""
-    return kernel.coeffs.tobytes(), kernel.offsets.tobytes(), kernel.d
-
-
-def _kernel_of(key: tuple[bytes, bytes, int]) -> SimpleKernel:
-    """The kernel whose :func:`_kernel_key` is ``key``."""
-    coeffs, offsets, d = key
-    return SimpleKernel(np.frombuffer(coeffs), np.frombuffer(offsets, dtype=int).reshape(-1, d))
 
 
 def e_factor(kernel: SimpleKernel, h: WeightH, pivot_value: float) -> float:

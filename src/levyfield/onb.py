@@ -34,8 +34,8 @@ from .errors import (
     PreconditionError,
     SingularSystemError,
 )
-from .grids import Grid1D, GridFunction, _check_budget
-from .model import SimpleKernel, WeightH, _kernel_key, _kernel_of, e_factor, forward_g_transform
+from .grids import _KEEP, Grid1D, GridFunction, _check_budget
+from .model import SimpleKernel, WeightH, e_factor, forward_g_transform
 
 __all__ = [
     "HaarBasis",
@@ -142,6 +142,7 @@ class EtaSystem:
         return float(np.dot(a, b) * self.basis.dx)
 
 
+@functools.lru_cache(maxsize=_KEEP)
 def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     """Construct the eta system and orthonormalise it.
 
@@ -151,20 +152,10 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
     norm raises a degeneracy error.
 
-    The system depends on nothing but the arguments, so the last
-    _ETA_SYSTEMS systems are kept and handed, with read-only arrays, to
-    later calls with the same basis, weight and kernel (coefficients and
-    offsets); a call that raises keeps nothing.
+    The system depends on the arguments alone: the systems of the last
+    _KEEP argument sets are kept and handed out again, with read-only
+    arrays, and a call that raises keeps nothing.
     """
-    return _eta_system(basis, h, _kernel_key(kernel))
-
-
-_ETA_SYSTEMS = 8
-
-
-@functools.lru_cache(maxsize=_ETA_SYSTEMS)
-def _eta_system(basis: HaarBasis, h: WeightH, kernel_key: tuple) -> EtaSystem:
-    kernel = _kernel_of(kernel_key)
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
     if len(others) and abs(pivot) < np.max(others) * (1 - 1e-12):

@@ -30,6 +30,7 @@ from scipy.special import polygamma, sici
 
 from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
 from .grids import (
+    _KEEP,
     Grid1D,
     GridFunction,
     convolve,
@@ -103,7 +104,9 @@ class SmoothingKernel:
         if self.b <= 0:
             raise InvalidInputError("bandwidth must be positive")
 
+    @np.errstate(over="ignore")
     def density(self, x) -> np.ndarray:
+        """K_b(x), which is 0 where a square of x / b overflows to inf."""
         x = np.asarray(x, dtype=float)
         b = self.b
         if self.family == "gaussian":
@@ -140,44 +143,37 @@ class SmoothingKernel:
         # Fejer tails decay like 1/(pi x^2 / b); this radius keeps ~1e-4 mass out
         return 6e3 * self.b
 
+    @functools.lru_cache(maxsize=_KEEP)
     def grid_function(self, spacing: float, reach: int) -> GridFunction:
         """Kernel taps at the nodes k * spacing, |k| <= reach, of the
         symmetric lattice grid over the effective radius r * spacing.
 
         The taps are divided by the trapezoid mass of the kernel over all
         2r + 1 nodes, so that they equal the same taps of the full-radius
-        kernel renormalised to unit discrete mass.  They depend on nothing
-        but the family, b, spacing and reach, so the last _TAPS results are
-        kept and handed, read-only, to later calls with the same arguments;
-        a call that raises keeps nothing.
+        kernel renormalised to unit discrete mass.  They depend on the
+        kernel and the arguments alone: the taps of the last _KEEP argument
+        sets are kept and handed out again, read-only, and a call that
+        raises keeps nothing.
         """
-        return _taps(self, spacing, reach)
-
-
-_TAPS = 8
-
-
-@functools.lru_cache(maxsize=_TAPS)
-def _taps(kern: SmoothingKernel, spacing: float, reach: int) -> GridFunction:
-    radius_nodes = kern.effective_radius() / spacing
-    if not math.isfinite(radius_nodes):
-        raise ResourceLimitError(f"a kernel radius of {radius_nodes} nodes exceeds the budget")
-    r = max(1, int(math.ceil(radius_nodes)))
-    m = min(r, reach)
-    if kern.family == "bandlimited" and spacing <= math.pi * kern.b:
-        # np.linspace(-r dx, r dx, 2r + 1)'s arithmetic, at |k| <= m only
-        lo = -r * spacing
-        step = (r * spacing - lo) / (2 * r)
-        taps = kern.density((np.arange(-m, m + 1) + float(r)) * step + lo)
-        mass = _fejer_mass(kern.b, spacing, r)
-    else:
-        grid = Grid1D(-r * spacing, r * spacing, 2 * r + 1)
-        full = kern.density(grid.nodes())
-        mass = float(np.sum(trapezoid_weights(grid) * full))
-        taps = full[r - m:r + m + 1]
-    taps = taps / mass
-    taps.flags.writeable = False
-    return GridFunction(Grid1D(-m * spacing, m * spacing, 2 * m + 1), taps)
+        radius_nodes = self.effective_radius() / spacing
+        if not math.isfinite(radius_nodes):
+            raise ResourceLimitError(f"a kernel radius of {radius_nodes} nodes exceeds the budget")
+        r = max(1, int(math.ceil(radius_nodes)))
+        m = min(r, reach)
+        if self.family == "bandlimited" and spacing <= math.pi * self.b:
+            # np.linspace(-r dx, r dx, 2r + 1)'s arithmetic, at |k| <= m only
+            lo = -r * spacing
+            step = (r * spacing - lo) / (2 * r)
+            taps = self.density((np.arange(-m, m + 1) + float(r)) * step + lo)
+            mass = _fejer_mass(self.b, spacing, r)
+        else:
+            grid = Grid1D(-r * spacing, r * spacing, 2 * r + 1)
+            full = self.density(grid.nodes())
+            mass = float(np.sum(trapezoid_weights(grid) * full))
+            taps = full[r - m:r + m + 1]
+        taps = taps / mass
+        taps.flags.writeable = False
+        return GridFunction(Grid1D(-m * spacing, m * spacing, 2 * m + 1), taps)
 
 
 def _fejer_mass(b: float, spacing: float, r: int) -> float:

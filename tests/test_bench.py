@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import warnings
 import subprocess
 import sys
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyfield import bench, invert, onb, smooth
+import levyfield
+from levyfield import bench, onb, smooth
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
@@ -148,19 +151,29 @@ def counted(monkeypatch):
     return calls
 
 
+def kept_caches():
+    """Every functools.lru_cache of levyfield: the functions of its modules
+    and the methods of their classes."""
+    for info in pkgutil.iter_modules(levyfield.__path__):
+        module = importlib.import_module(f"levyfield.{info.name}")
+        for obj in vars(module).values():
+            for member in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                if hasattr(member, "cache_clear"):
+                    yield member
+
+
 def fresh_estimate(cfg, rep, sample=None):
     """The estimate of a run_pipeline call that finds nothing computed or
-    kept before it, as in a fresh process; the shared entries are put back
-    afterwards."""
-    saved = bench._last_sample, bench._last_ecf, bench._setups
+    kept before it, as in a fresh process; the shared sample and ECF
+    entries are put back afterwards."""
+    saved = bench._last_sample, bench._last_ecf
     bench._last_sample, bench._last_ecf = bench._LastValue(), bench._LastValue()
-    bench._setups = bench._Kept(bench._SETUPS)
-    for kept in (onb._eta_system, invert._series_plan, invert._spectral_factor, smooth._taps):
-        kept.cache_clear()
+    for cache in kept_caches():
+        cache.cache_clear()
     try:
         return run_pipeline(cfg, rep, sample=sample).estimate.values
     finally:
-        bench._last_sample, bench._last_ecf, bench._setups = saved
+        bench._last_sample, bench._last_ecf = saved
 
 
 class TestSharing:
@@ -226,18 +239,17 @@ class TestSharing:
         with pytest.raises(ValueError):
             system.mix[0, 0] = 0.0
 
-    def test_kept_config_work_is_read_only(self, monkeypatch):
-        monkeypatch.setattr(bench, "_setups", bench._Kept(bench._SETUPS))
+    def test_kept_config_work_is_read_only(self):
         law = {"kind": "tabulated", "x": [-4.0, -2.0, 0.0, 2.0, 4.0],
                "density": [0.05, 0.2, 0.3, 0.2, 0.05]}
         cfg = small_cfg(method="plugin", jump_law=law, oracle_g1=True)
         out = run_pipeline(cfg, 0)
-        (setup,) = bench._setups.entries.values()
-        assert run_pipeline(cfg, 1).truth is out.truth is setup.truth
+        assert run_pipeline(cfg, 1).truth is out.truth
         taps = smooth.SmoothingKernel(cfg.smooth_family, cfg.bandwidth).grid_function(
             out.truth.grid.spacing, out.truth.grid.n - 1)
-        for arr in (setup.kernel.coeffs, setup.kernel.offsets, setup.law.density_.values,
-                    setup.truth.values, taps.values):
+        kernel = cfg.kernel_obj()
+        for arr in (kernel.coeffs, kernel.offsets, cfg.law_obj().density_.values,
+                    out.truth.values, taps.values):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -247,9 +259,12 @@ class TestSharing:
         {"A": 5.0},
         {"grid_points": 256},
         {"n_N": 2},
+        {"l": 1.5},
         {"kernel": {"coeffs": [1.4, 0.2, 0.1, 0.1],
                     "offsets": [[0, 0], [1, 0], [0, 1], [1, 1]]}},
-    ], ids=["bandwidth", "law", "A", "grid_points", "n_N", "coeffs"])
+        {"kernel": {"coeffs": [1.3, 0.2, 0.1, 0.1],
+                    "offsets": [[0, 0], [1, 0], [0, 1], [2, 1]]}},
+    ], ids=["bandwidth", "law", "A", "grid_points", "n_N", "l", "coeffs", "offsets"])
     @pytest.mark.parametrize("method", METHODS)
     def test_one_field_apart_matches_fresh_process(self, change, method):
         # what the first config leaves kept must not reach the second
@@ -565,6 +580,23 @@ class TestCli:
         assert cli_main(["bench", "--config", str(cfg_path), "--out", str(results)]) == 0
         with open(results, newline="") as fh:
             assert np.isfinite(float(next(csv.DictReader(fh))["mse"]))
+
+    @pytest.mark.parametrize("over,code", [
+        ({"bandwidth": 1e-300, "smooth_family": "gaussian"}, 0),
+        ({"bandwidth": 1e-300, "smooth_family": "epanechnikov"}, 0),
+        ({"bandwidth": 1e-300, "smooth_family": "bandlimited"}, 0),
+        ({"A": 1e307, "method": "plugin"}, 3),
+    ], ids=["bandwidth-gaussian", "bandwidth-epanechnikov", "bandwidth-bandlimited", "A"])
+    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, over, code):
+        # the kernel tails square to inf (value 0); the plug-in's NUFFT positions
+        # overflow to inf, which is refused
+        cfg_path = self._write_cfg(tmp_path, window=[6, 6], grid_points=64, **over)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["bench", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "r.csv")]) == code
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("method,coeffs", [
         ("fourier", [1e-200, 0.5e-200]),  # f1^2 underflows, so a series scale is 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfield import invert
+from levyfield.config import ExperimentConfig
 from levyfield.errors import BoundInapplicableError, CoverageError, ResourceLimitError
 from levyfield.grids import GridFunction, l2_norm, symmetric_grid
 from levyfield.model import SimpleKernel, WeightH, e_factor, forward_g_transform
@@ -157,6 +158,15 @@ class TestSeriesPlan:
                 plans.append(build_series_plan(k, h_linear, 2))
             assert any("converge" in str(w.message) for w in caught)
         assert plans[0] is plans[1]
+
+    def test_equal_kernels_share_one_kept_plan(self, h_linear):
+        kernels = [ExperimentConfig().kernel_obj() for _ in range(2)]
+        assert kernels[0] is not kernels[1]
+        invert._series_plan.cache_clear()
+        plans = [build_series_plan(k, h_linear, 3) for k in kernels]
+        info = invert._series_plan.cache_info()
+        assert plans[0] is plans[1]
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)

@@ -96,6 +96,23 @@ class TestSimpleKernel:
         with pytest.raises(InvalidInputError):
             SimpleKernel(**bad)
 
+    def test_equal_arrays_make_equal_kernels(self):
+        k = SimpleKernel(np.array([1.3, 0.2]), np.array([[0, 0], [1, 0]]))
+        same = SimpleKernel([1.3, 0.2], [[0, 0], [1, 0]])
+        assert k == same and hash(k) == hash(same)
+        assert k != SimpleKernel([1.3, 0.2], [[0, 0], [0, 1]])
+        assert SimpleKernel([1.0, 0.5], [0, 1]) == SimpleKernel([1.0, 0.5], [[0], [1]])
+
+    def test_arrays_are_read_only_copies(self):
+        coeffs, offsets = np.array([1.3, 0.2]), np.array([[0], [1]])
+        k = SimpleKernel(coeffs, offsets)
+        for arr in (k.coeffs, k.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 2
+        # the caller's arrays stay writable, and writing to them leaves the kernel as it was
+        coeffs[0], offsets[0, 0] = 2.0, 5
+        assert k.coeffs[0] == 1.3 and k.offsets[0, 0] == 0
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_pivot_groups_partition_indices(self, seed):
