@@ -29,11 +29,13 @@ These functions are :func:`_config_setup` (the kernel and jump law
 objects, the x-grid with the true g0 on it and the u-grid, built from the
 JSON of the config fields they read), :func:`invert.build_series_plan`
 (the series plans and both contraction factors), :func:`onb.build_eta`
-(the ONB systems) and :meth:`smooth.SmoothingKernel.grid_function` (the
-smoothing taps).  Each call still computes afresh what depends on its
-sample or its estimate: the ECF (unless taken over as above), an oracle
-g1, the estimate, its smoothing and its MSE; and it still gives every
-warning and refusal of its inputs.
+(the ONB systems), :meth:`smooth.SmoothingKernel.grid_function` (the
+smoothing taps) and :func:`grids._interp_plan` (the taps and kernel
+weights of each type-2 NUFFT at the points the config fixes: the x-grid,
+and the points at which plug-in and onb read g1_hat).  Each call still
+computes afresh what depends on its sample or its estimate: the ECF
+(unless taken over as above), an oracle g1, the estimate, its smoothing
+and its MSE; and it still gives every warning and refusal of its inputs.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -130,6 +131,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number > 0")
         if not (c.bandwidth == "auto" or _is_positive_real(c.bandwidth)):
             raise ConfigError("bandwidth must be a positive number or 'auto'")
+        if c.bandwidth != "auto" and not 1.0 / float(c.bandwidth) < math.inf:
+            raise ConfigError(f"bandwidth {c.bandwidth!r} is too small: its reciprocal overflows")
         if not isinstance(c.oracle_g1, bool):
             raise ConfigError("oracle_g1 must be a boolean")
         # constructing the objects validates coefficient/offset consistency

@@ -16,9 +16,13 @@ at any targets; real rows on uniform targets from u = 0 (the ECF's
 samples on its half-grid) take a type-1 non-uniform FFT; the direct
 O(n*m) sum is the reference path of both and serves what is left.  Both
 fast paths agree with it to about 1e-13 of sum_j |c_j|, and the tests pin
-1e-10.  No grid may have more than ``_MAX_CELLS`` nodes
-(:func:`_check_budget`), and neither fast path places a point more than
-``_MAX_POSITION`` grid points from the origin.
+1e-10.  The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
+targets, the plan that depends only on the source grid and the targets
+(:func:`_interp_plan`): 212 bytes per target, so at most 3.5 MB per plan
+and 28 MB for the _KEEP plans kept, at any grid size.  Convolution is one
+FFT product (:func:`convolve`).  No grid or FFT may have more than
+``_MAX_CELLS`` nodes (:func:`_check_budget`), and neither fast path places
+a point more than ``_MAX_POSITION`` grid points from the origin.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
+from scipy.sparse import csr_matrix
 
 from .errors import GridMismatchError, InvalidInputError, ResourceLimitError
 
@@ -44,14 +50,15 @@ __all__ = [
 ]
 
 # Largest node count of any allocated grid (x-, u- and kernel grids, Haar
-# cells, simulation cells)
+# cells, simulation cells, convolution FFTs)
 _MAX_CELLS = 50_000_000
 # Width, in grid points, of the exponential-of-semicircle spreading kernel of
 # the non-uniform FFT: with beta = 2.30 * width and oversampling 2 it leaves
 # a relative error near 1e-14.
 _ES_WIDTH = 16
-# sources spread per pass of the type-1 NUFFT; bounds its per-tap scratch
-# at under 1 MB, while each of its numpy calls still covers many sources
+# sources spread per pass of the type-1 NUFFT, and targets per plan of the
+# type-2 NUFFT; bounds the type-1 per-tap scratch at under 1 MB and a type-2
+# plan at 3.5 MB, while each numpy call still covers many points
 _SPREAD_BLOCK = 1 << 14
 # Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
 # adjacent doubles lie a whole grid point apart, so no offset between taps is left
@@ -251,6 +258,37 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     return spec.reshape(np.shape(coef)[:-1] + (n_u,))
 
 
+@functools.lru_cache(maxsize=_KEEP)
+def _interp_plan(x: Grid1D, targets: bytes, sign: float):
+    """The interpolation plan of :func:`_nufft_interp` for sources on x and
+    the targets u (float64 bytes, at most _SPREAD_BLOCK of them): a
+    read-only csr_matrix of len(u) rows and m_r columns whose row k holds the
+    kernel weights of target k at its _ES_WIDTH taps, in tap order, and the
+    centring phase e^{i s u x_c} (None when x_c = 0), kept as _KEEP says."""
+    u = np.frombuffer(targets)
+    c = x.n // 2
+    m_r, _ = _fine_grid(max(c, x.n - 1 - c))
+    half = _ES_WIDTH // 2
+    # target k sits at t_k grid points of the fine grid; its taps are the
+    # nodes floor(t_k) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
+    with np.errstate(over="ignore"):  # an infinite position is refused below
+        t = u * (sign * x.spacing * m_r / (2 * np.pi))
+    node = _tap_nodes(t, m_r).astype(np.int32)
+    offsets = np.arange(1 - half, half + 1, dtype=np.int32)
+    cols = np.add.outer(node, offsets)
+    cols &= m_r - 1
+    weights = _es_kernel(np.subtract.outer(t, offsets / half))
+    plan = csr_matrix((weights.ravel(), cols.ravel(),
+                       np.arange(0, _ES_WIDTH * len(u) + 1, _ES_WIDTH, dtype=np.int32)),
+                      shape=(len(u), m_r))
+    centre = x.lo + c * x.spacing
+    phase = np.exp(1j * sign * centre * u) if centre != 0.0 else None
+    for arr in (plan.data, plan.indices, plan.indptr, phase):
+        if arr is not None:
+            arr.flags.writeable = False
+    return plan, phase
+
+
 def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np.ndarray:
     """Type-2 (interpolating) non-uniform FFT of :func:`phase_sum` for
     sources on the uniform grid x, at any targets u.
@@ -259,33 +297,27 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
     series S(u) = e^{i s u x_c} sum_m coef_m e^{i m t}, t = s u dx, s = sign.
     The coefficients, divided by the DFT of the exponential-of-semicircle
     kernel sampled on the periodic grid of :func:`_fine_grid`, go through
-    one complex FFT onto that grid; each target then gathers the kernel-
-    weighted values of its _ES_WIDTH nearest grid nodes, tap by tap, from a
-    copy of the grid padded by its own wrapped ends.  This is the adjoint of
-    :func:`_nufft_sum` (Barnett, Magland & af Klinteberg, 2019).
+    one complex FFT onto that grid; each block of up to _SPREAD_BLOCK
+    targets then gathers the kernel-weighted values of its _ES_WIDTH
+    nearest grid nodes by one sparse product with its kept plan
+    (:func:`_interp_plan`), and takes the centring phase.  This is the
+    adjoint of :func:`_nufft_sum` (Barnett, Magland & af Klinteberg, 2019).
     """
     rows = np.asarray(coef).reshape(-1, x.n)
     c = x.n // 2
     m = np.arange(x.n) - c
     m_r, kernel_dft = _fine_grid(max(c, x.n - 1 - c))
-    half = _ES_WIDTH // 2
     fine = np.zeros((len(rows), m_r), dtype=complex)
     fine[:, m & (m_r - 1)] = rows / kernel_dft[np.abs(m)]
-    # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r, at index
-    # n + half - 1 of the padded grid
+    # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r
     grid = np.fft.ifft(fine, axis=1, norm="forward")
-    padded = np.concatenate([grid[:, m_r - half + 1:], grid, grid[:, :half]], axis=1)
-    # target k sits at t_k / h grid points; its taps are the nodes
-    # floor(t_k / h) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
-    with np.errstate(over="ignore"):  # an infinite position is refused below
-        t = u * (sign * x.spacing * m_r / (2 * np.pi))
-    node = _tap_nodes(t, m_r)
-    out = np.zeros((len(rows), len(u)), dtype=complex)
-    for tau in range(_ES_WIDTH):
-        out += padded[:, node + tau] * _es_kernel((tau - (half - 1)) / half - t)
-    centre = x.lo + c * x.spacing
-    if centre != 0.0:
-        out *= np.exp(1j * sign * centre * u)
+    out = np.empty((len(rows), len(u)), dtype=complex)
+    for start in range(0, len(u), _SPREAD_BLOCK):
+        block = slice(start, start + _SPREAD_BLOCK)
+        plan, phase = _interp_plan(x, u[block].tobytes(), sign)
+        out[:, block] = (plan @ grid.T).T
+        if phase is not None:
+            out[:, block] *= phase
     return out.reshape(np.shape(coef)[:-1] + (len(u),))
 
 
@@ -369,15 +401,15 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(x) = sum_y f(y) g(x - y) spacing, evaluated on f's grid.
 
     g's nodes must lie on f's lattice: equal spacings, and g.lo a whole
-    number of spacings (within 1e-9).  Output i is then exactly lag
+    number of spacings (within 1e-9).  Output i is then lag
     i - g.lo / spacing of the full discrete convolution, zero beyond its
     ends.
 
-    Only the lags that the output keeps are computed: ``np.convolve`` runs
-    in the narrowest of its modes whose lags cover them (``valid`` from
-    lag min(n, L) - 1, ``same`` from (min(n, L) - 1) // 2, else ``full``,
-    for lengths n and L).  Every mode computes a lag as the same dot
-    product, so the output bits do not depend on the mode.
+    The full convolution of lengths n and L is one FFT product of length
+    next_fast_len(n + L - 1) (real FFTs for real inputs), refused past
+    _MAX_CELLS points before anything is allocated.  In the tests each lag
+    is within 5e-17 of dx sum|f| max|g| of its direct sum, and they pin
+    1e-15 of that scale against ``np.convolve``.
     """
     dx = f.grid.spacing
     shift = g.grid.lo / dx
@@ -387,16 +419,14 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
             f"{g.grid.spacing} and g.lo = {shift} spacings"
         )
     n, taps = f.grid.n, g.grid.n
-    short = min(n, taps)
+    real = not (f.is_complex or g.is_complex)
+    size = next_fast_len(n + taps - 1, real=real)
+    _check_budget(size, "convolution FFT points")
     first = -int(np.rint(shift))  # the lag of output 0
     lo, hi = max(first, 0), min(first + n, n + taps - 1)  # kept lags that exist
     out = np.zeros(n, dtype=np.result_type(f.values, g.values, dx))
     if lo < hi:
-        for mode, start, length in (("valid", short - 1, n + taps + 1 - 2 * short),
-                                    ("same", (short - 1) // 2, max(n, taps)),
-                                    ("full", 0, n + taps - 1)):
-            if start <= lo and hi <= start + length:
-                break
-        lags = np.convolve(f.values, g.values, mode)[lo - start:hi - start]
-        out[lo - first:hi - first] = lags * dx
+        forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        lags = inverse(forward(f.values, size) * forward(g.values, size), size)
+        out[lo - first:hi - first] = lags[lo:hi] * dx
     return GridFunction(f.grid, out)

@@ -103,6 +103,8 @@ class SmoothingKernel:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
         if self.b <= 0:
             raise InvalidInputError("bandwidth must be positive")
+        if not 1.0 / float(self.b) < math.inf:
+            raise InvalidInputError(f"bandwidth {self.b!r} has no finite reciprocal")
 
     @np.errstate(over="ignore")
     def density(self, x) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import levyfield
-from levyfield import bench, onb, smooth
+from levyfield import bench, grids, onb, smooth
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
@@ -26,7 +26,7 @@ from levyfield.bench import (
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
 from levyfield.errors import ConfigError, PreconditionError
-from levyfield.grids import GridFunction, symmetric_grid
+from levyfield.grids import Grid1D, GridFunction, symmetric_grid
 from levyfield.simulate import SeedSpec, sample_field
 
 
@@ -248,8 +248,11 @@ class TestSharing:
         taps = smooth.SmoothingKernel(cfg.smooth_family, cfg.bandwidth).grid_function(
             out.truth.grid.spacing, out.truth.grid.n - 1)
         kernel = cfg.kernel_obj()
+        # a type-2 NUFFT plan, on a grid whose centre is off 0 so that it keeps a phase
+        targets = np.linspace(-3.0, 3.0, 50).tobytes()
+        plan, phase = grids._interp_plan(Grid1D(-1.0, 2.0, 64), targets, 1.0)
         for arr in (kernel.coeffs, kernel.offsets, cfg.law_obj().density_.values,
-                    out.truth.values, taps.values):
+                    out.truth.values, taps.values, plan.data, plan.indices, plan.indptr, phase):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -586,17 +589,30 @@ class TestCli:
         ({"bandwidth": 1e-300, "smooth_family": "epanechnikov"}, 0),
         ({"bandwidth": 1e-300, "smooth_family": "bandlimited"}, 0),
         ({"A": 1e307, "method": "plugin"}, 3),
-    ], ids=["bandwidth-gaussian", "bandwidth-epanechnikov", "bandwidth-bandlimited", "A"])
+        ({"bandwidth": 5e-324, "smooth_family": "gaussian"}, 2),
+        ({"bandwidth": 5e-324, "smooth_family": "epanechnikov"}, 2),
+        ({"bandwidth": 5e-324, "smooth_family": "bandlimited"}, 2),
+    ], ids=["bandwidth-gaussian", "bandwidth-epanechnikov", "bandwidth-bandlimited", "A",
+            "subnormal-bandwidth-gaussian", "subnormal-bandwidth-epanechnikov",
+            "subnormal-bandwidth-bandlimited"])
     def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, over, code):
         # the kernel tails square to inf (value 0); the plug-in's NUFFT positions
-        # overflow to inf, which is refused
-        cfg_path = self._write_cfg(tmp_path, window=[6, 6], grid_points=64, **over)
+        # overflow to inf, which is refused; a bandwidth whose reciprocal
+        # overflows is refused when the config is loaded (raw JSON, since
+        # ExperimentConfig itself refuses it)
+        doc = small_cfg(window=[6, 6], grid_points=64).to_dict()
+        doc.update(over)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli_main(["bench", "--config", str(cfg_path),
                              "--out", str(tmp_path / "r.csv")]) == code
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert "RuntimeWarning" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        if code == 2:
+            assert "bandwidth" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("method,coeffs", [
         ("fourier", [1e-200, 0.5e-200]),  # f1^2 underflows, so a series scale is 0

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyfield import grids
-from levyfield.errors import GridMismatchError, InvalidInputError
+from levyfield.errors import GridMismatchError, InvalidInputError, ResourceLimitError
 from levyfield.grids import (
     Grid1D,
     _direct_sum,
@@ -202,6 +202,29 @@ class TestInterpolatingNufft:
         err = np.max(np.abs(fast - ref), axis=-1, initial=0.0)
         assert np.all(err <= 1e-10 * np.sum(np.abs(coef), axis=-1))
 
+    def test_second_call_takes_the_kept_plan(self):
+        grid = Grid1D(-1.0, 2.0, 64)
+        coef = np.random.default_rng(3).normal(size=64) + 0j
+        u = np.linspace(-30.0, 30.0, 101)
+        grids._interp_plan.cache_clear()
+        first = _nufft_interp(coef, grid, u, -1.0)
+        second = _nufft_interp(coef, grid, u, -1.0)
+        info = grids._interp_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_blocks_of_targets_match_one_block(self, monkeypatch, stacked):
+        # each plan covers at most _SPREAD_BLOCK targets; the split moves no bit
+        rng = np.random.default_rng(4)
+        grid = Grid1D(-1.0, 2.0, 64)
+        shape = (3, 64) if stacked else (64,)
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        u = rng.uniform(-30.0, 30.0, 101)
+        whole = _nufft_interp(coef, grid, u, 1.0)
+        monkeypatch.setattr(grids, "_SPREAD_BLOCK", 16)
+        assert np.array_equal(_nufft_interp(coef, grid, u, 1.0), whole)
+
     def test_scattered_targets_take_the_fast_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("direct sum reached")
@@ -236,6 +259,14 @@ class TestPlancherel:
         lhs = l2_norm(fourier_forward(f, u)) ** 2
         rhs = 2 * np.pi * l2_norm(f) ** 2
         assert abs(lhs - rhs) / rhs <= 1e-3
+
+
+def assert_lags_close(got, want, f, g):
+    """The FFT's lags against the direct sums of np.convolve, within 1e-15
+    of dx sum|f| max|g|: the FFT's error is at most 5e-17 of that scale
+    here, and a one-lag shift at least 1.9e-2."""
+    scale = f.grid.spacing * np.sum(np.abs(f.values)) * np.max(np.abs(g.values))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 class TestConvolve:
@@ -289,8 +320,7 @@ class TestConvolve:
         idx = np.arange(g.n) - k.grid.lo / dx
         idx = np.where(np.abs(idx - np.rint(idx)) < 1e-9, np.rint(idx), idx)
         ref = np.interp(idx, np.arange(-1, len(full) - 1), full)
-        scale = dx * np.sum(np.abs(f.values)) * np.max(np.abs(k.values))
-        assert np.max(np.abs(convolve(f, k).values - ref)) <= 1e-15 * scale
+        assert_lags_close(convolve(f, k).values, ref, f, k)
 
     @pytest.mark.parametrize("r", [171, 853, 2047])
     def test_lattice_kernel_reads_exact_lags(self, r):
@@ -304,26 +334,28 @@ class TestConvolve:
         g = GridFunction(Grid1D(-r * dx, r * dx, 2 * r + 1),
                          np.concatenate([half[:0:-1], half]))
         want = (np.convolve(f.values, g.values) * dx)[np.arange(grid.n) + r]
-        assert np.array_equal(convolve(f, g).values, want)
+        assert_lags_close(convolve(f, g).values, want, f, g)
 
-    @pytest.mark.parametrize("n_taps,origin", [
-        (41, -20),      # L < n: same mode
-        (300, -150),    # n <= L < 2n - 1
-        (401, -200),    # L = 2n - 1: valid mode, as Fejer smoothing
-        (1001, -500),   # L > 2n - 1
-        (50, 0),        # one-sided kernel from its origin
-        (50, -49),      # one-sided kernel up to its origin
-        (41, 30),       # kept lags start before lag 0
-        (41, -150),     # kept lags end past the last lag
-        (41, -400),     # no kept lag exists
-        (41, 300),      # none exists on the other side either
+    @pytest.mark.parametrize("n,n_taps,origin", [
+        (201, 41, -20),      # L < n
+        (201, 300, -150),    # n <= L < 2n - 1
+        (201, 401, -200),    # L = 2n - 1, as Fejer smoothing
+        (201, 1001, -500),   # L > 2n - 1
+        (201, 50, 0),        # one-sided kernel from its origin
+        (201, 50, -49),      # one-sided kernel up to its origin
+        (201, 41, 30),       # kept lags start before lag 0
+        (201, 41, -150),     # kept lags end past the last lag
+        (201, 41, -400),     # no kept lag exists
+        (201, 41, 300),      # none exists on the other side either
+        (2048, 4095, -2047),  # Fejer smoothing of a benchmark estimate
     ], ids=["L<n", "n<=L<2n-1", "L=2n-1", "L>2n-1", "one-sided-from-0", "one-sided-to-0",
-            "before-first-lag", "past-last-lag", "all-past-last", "all-before-first"])
-    def test_kept_lags_equal_full_convolution(self, n_taps, origin):
-        # output i is lag i - origin of the full convolution, bit for bit,
-        # and zero where that lag does not exist
+            "before-first-lag", "past-last-lag", "all-past-last", "all-before-first",
+            "fejer-size"])
+    def test_kept_lags_equal_full_convolution(self, n, n_taps, origin):
+        # output i is lag i - origin of the full convolution, and exactly zero
+        # where that lag does not exist
         rng = np.random.default_rng(n_taps)
-        g = Grid1D(-2, 2, 201)
+        g = Grid1D(-2, 2, n)
         dx = g.spacing
         f = GridFunction(g, rng.normal(size=g.n))
         k = GridFunction(Grid1D(origin * dx, (origin + n_taps - 1) * dx, n_taps),
@@ -333,7 +365,27 @@ class TestConvolve:
         exists = (lag >= 0) & (lag < len(full))
         want = np.zeros(g.n)
         want[exists] = full[lag[exists]]
-        assert np.array_equal(convolve(f, k).values, want)
+        got = convolve(f, k).values
+        assert_lags_close(got, want, f, k)
+        assert np.all(got[~exists] == 0.0)
+
+    def test_complex_values_take_complex_ffts(self):
+        rng = np.random.default_rng(6)
+        g = Grid1D(-2, 2, 201)
+        dx = g.spacing
+        f = GridFunction(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+        k = GridFunction(Grid1D(-20 * dx, 20 * dx, 41), rng.normal(size=41))
+        want = (np.convolve(f.values, k.values) * dx)[np.arange(g.n) + 20]
+        assert_lags_close(convolve(f, k).values, want, f, k)
+
+    def test_fft_length_over_budget_refused(self, monkeypatch):
+        # 201 + 300 - 1 lags need an FFT of 500 points or more
+        g = Grid1D(-2, 2, 201)
+        f = GridFunction(g, np.ones(g.n))
+        k = GridFunction(Grid1D(-150 * g.spacing, 149 * g.spacing, 300), np.ones(300))
+        monkeypatch.setattr(grids, "_MAX_CELLS", 499)
+        with pytest.raises(ResourceLimitError, match="convolution FFT points"):
+            convolve(f, k)
 
     def test_mismatched_spacing_rejected(self):
         f = GridFunction(Grid1D(-1, 1, 101), gaussian_density(np.linspace(-1, 1, 101)))

@@ -73,6 +73,8 @@ class TestSmoothingKernel:
             SmoothingKernel("box", 1.0)
         with pytest.raises(InvalidInputError):
             SmoothingKernel("gaussian", 0.0)
+        with pytest.raises(InvalidInputError, match="reciprocal"):
+            SmoothingKernel("gaussian", 5e-324)
 
 
 def full_radius_kernel(kern, dx):
@@ -136,8 +138,11 @@ class TestSmooth:
         est = GridFunction(grid, g0_exp(x) + 0.01 * np.sin(17 * x))
         kern = SmoothingKernel(family, b)
         got = smooth(est, kern).values
-        ref = convolve(est, full_radius_kernel(kern, grid.spacing)).values
-        if family == "bandlimited":
+        full = full_radius_kernel(kern, grid.spacing)
+        ref = convolve(est, full).values
+        # the closed-form Fejer mass, and an FFT longer by the taps cut off
+        # past the grid's span, move the last bits
+        if family == "bandlimited" or full.grid.n > 2 * grid.n - 1:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         else:
             assert np.array_equal(got, ref)
