@@ -3,7 +3,8 @@
 Subcommands:
 
     simulate --config C.json [--seed S] --out sample.csv
-    estimate --method plugin|fourier|onb --sample sample.csv --config C.json --out est.csv
+    estimate --sample sample.csv --config C.json --out est.csv
+             [--method plugin|fourier|onb]   (default: the config's method)
     bench    --config C.json [--reps R] [--workers W] --out results.csv
              [--manifest manifest.json] [--dump-estimates DIR]
     validate --suite appendix-rates|kernels|fixed-point|onb [--config C.json] [--reps R]

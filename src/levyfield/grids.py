@@ -19,8 +19,10 @@ fast paths agree with it to about 1e-13 of sum_j |c_j|, and the tests pin
 1e-10.  The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
 targets, the plan that depends only on the source grid and the targets
 (:func:`_interp_plan`): 212 bytes per target, so at most 3.5 MB per plan
-and 28 MB for the _KEEP plans kept, at any grid size.  Convolution is one
-FFT product (:func:`convolve`).  No grid or FFT may have more than
+and 28 MB for the _KEEP plans kept, at any grid size; building one
+imports scipy.sparse, which nothing else in the package loads.
+Convolution is one FFT product (:func:`convolve`) of a 5-smooth length
+(:func:`_fast_len`).  No grid or FFT may have more than
 ``_MAX_CELLS`` nodes (:func:`_check_budget`), and neither fast path places
 a point more than ``_MAX_POSITION`` grid points from the origin.
 """
@@ -31,8 +33,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.sparse import csr_matrix
 
 from .errors import GridMismatchError, InvalidInputError, ResourceLimitError
 
@@ -243,7 +243,8 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     for start in range(0, len(x), _SPREAD_BLOCK):
         xb = x[start:start + _SPREAD_BLOCK]
         w = rows[:, start:start + _SPREAD_BLOCK]
-        t = xb * (-du * m_r / (2 * np.pi))
+        with np.errstate(over="ignore"):  # an infinite position is refused below
+            t = xb * (-du * m_r / (2 * np.pi))
         node = _tap_nodes(t, m_r)
         for tau, offset in enumerate(offsets):
             kern = _es_kernel(offset - t)
@@ -264,7 +265,12 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     the targets u (float64 bytes, at most _SPREAD_BLOCK of them): a
     read-only csr_matrix of len(u) rows and m_r columns whose row k holds the
     kernel weights of target k at its _ES_WIDTH taps, in tap order, and the
-    centring phase e^{i s u x_c} (None when x_c = 0), kept as _KEEP says."""
+    centring phase e^{i s u x_c} (None when x_c = 0), kept as _KEEP says.
+
+    scipy.sparse is imported here, when a plan is built: its csr product
+    gathers the taps faster than numpy indexing does."""
+    from scipy.sparse import csr_matrix
+
     u = np.frombuffer(targets)
     c = x.n // 2
     m_r, _ = _fine_grid(max(c, x.n - 1 - c))
@@ -397,6 +403,22 @@ def inverse_transform_at(F: GridFunction, points: np.ndarray) -> np.ndarray:
     return _inverse_sum(F, points).real
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length whose FFT numpy runs in
+    radix-2, 3 and 5 passes; scipy.fft.next_fast_len(n, real=True) gives
+    the same."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power of two times odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(x) = sum_y f(y) g(x - y) spacing, evaluated on f's grid.
 
@@ -406,7 +428,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     ends.
 
     The full convolution of lengths n and L is one FFT product of length
-    next_fast_len(n + L - 1) (real FFTs for real inputs), refused past
+    _fast_len(n + L - 1) (real FFTs for real inputs), refused past
     _MAX_CELLS points before anything is allocated.  In the tests each lag
     is within 5e-17 of dx sum|f| max|g| of its direct sum, and they pin
     1e-15 of that scale against ``np.convolve``.
@@ -420,7 +442,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         )
     n, taps = f.grid.n, g.grid.n
     real = not (f.is_complex or g.is_complex)
-    size = next_fast_len(n + taps - 1, real=real)
+    size = _fast_len(n + taps - 1)
     _check_budget(size, "convolution FFT points")
     first = -int(np.rint(shift))  # the lag of output 0
     lo, hi = max(first, 0), min(first + n, n + taps - 1)  # kept lags that exist

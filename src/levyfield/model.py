@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     CoverageError,
@@ -175,7 +174,8 @@ class JumpLaw:
 
         ``fn`` is vectorised.  Tables take a dense trapezoid rule, because
         adaptive quadrature converges poorly on their piecewise-linear
-        interpolant; closed-form densities take ``quad``.
+        interpolant; closed-form densities take ``scipy.integrate.quad``,
+        imported here, since no pipeline integrates against v0.
         """
         lo, hi = self.support_bounds()
         a, b = max(a, lo), min(b, hi)
@@ -185,6 +185,8 @@ class JumpLaw:
             step = self.density_.grid.spacing / 4
             xs = np.linspace(a, b, max(9, int(np.ceil((b - a) / step)) + 1))
             return float(np.trapezoid(fn(xs) * self.pdf(xs), xs))
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda x: float(fn(np.array([x]))[0]) * float(self.pdf(x)),
                                 a, b, limit=200)
         return val

@@ -90,8 +90,8 @@ def _cp_sums(law: JumpLaw, sizes: np.ndarray, rng: np.random.Generator) -> np.nd
     jumps = law.sample(rng, total)
     edges = np.concatenate([[0], np.cumsum(counts)])
     nonzero = counts > 0
-    sums = np.add.reduceat(jumps, edges[:-1][nonzero])
-    out[nonzero] = sums
+    with np.errstate(over="ignore"):  # GridSample refuses a non-finite field
+        out[nonzero] = np.add.reduceat(jumps, edges[:-1][nonzero])
     return out
 
 
@@ -135,7 +135,8 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
         # Y_j uses cell j - ck; cell x sits at slot x + hi in the extended array
         start = hi - ck
         sl = tuple(slice(int(s), int(s + w)) for s, w in zip(start, window))
-        out += fk * cells[sl]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by GridSample
+            out += fk * cells[sl]
     return GridSample(out, mesh=mesh)
 
 

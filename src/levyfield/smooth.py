@@ -14,7 +14,9 @@ Smoothing samples a kernel only at the taps the convolution reads, but
 normalises those taps by the trapezoid mass over the kernel's whole
 effective radius.  For the Fejer kernel that mass has a closed form
 (:func:`_fejer_mass`); the other kernels, and the Fejer kernel on a grid
-coarser than pi b, sum it over the full-radius grid.
+coarser than pi b, sum it over the full-radius grid.  Only the quadrature
+checks :func:`a_delta` and :func:`k1_mass_error` use scipy, which they
+import when called.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import polygamma, sici
 
 from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
 from .grids import (
@@ -191,7 +191,8 @@ def _fejer_mass(b: float, spacing: float, r: int) -> float:
 
     Summation by parts, applied three times, gives the oscillating tail.
     Each round is smaller by about 3 / (r |e^{i theta} - 1|), below 1e-3
-    since r theta >= 6000 at the effective radius and theta <= pi.
+    since r theta >= 6000 at the effective radius and theta <= pi; so
+    r >= 6000 / pi, and psi_1(r + 1) is :func:`_trigamma`'s series.
     """
     theta = spacing / b
     n = r + 1.0
@@ -204,8 +205,17 @@ def _fejer_mass(b: float, spacing: float, r: int) -> float:
     d1 = q ** 3 * (2 + q) / (1 + q) ** 2
     d2 = q ** 4 * (6 + 12 * q + 4 * q * q) / ((1 + q) * (1 + 2 * q)) ** 2
     tail = -cmath.exp(1j * n * theta) / (z - 1) * (d0 + w * (d1 + w * d2))
-    outside = (1 - math.cos(r * theta)) / (2.0 * r * r) + float(polygamma(1, n)) - tail.real
+    outside = (1 - math.cos(r * theta)) / (2.0 * r * r) + _trigamma(r + 1) - tail.real
     return 1.0 - 2 * b / (math.pi * spacing) * outside
+
+
+def _trigamma(n: int) -> float:
+    """psi_1(n) = sum_{k >= n} 1/k^2 for an integer n >= 1911, correctly
+    rounded: its asymptotic series 1/n + 1/(2n^2) + 1/(6n^3) - 1/(30n^5)
+    + 1/(42n^7), whose next term is below 2e-28 of the sum there, taken as
+    one integer fraction over 210 n^7, which Python's int / int rounds once.
+    The tests pin it within 2 ulp of scipy.special.polygamma(1, n)."""
+    return ((((210 * n + 105) * n + 35) * n * n - 7) * n * n + 5) / (210 * n ** 7)
 
 
 def smooth(est: GridFunction, kern: SmoothingKernel) -> GridFunction:
@@ -230,6 +240,8 @@ def a_delta(b: float, delta: float, c1: float) -> float:
         raise InvalidInputError("bandwidth must lie in (0, 1)")
     if c1 <= 0:
         raise InvalidInputError("c1 must be positive")
+    from scipy import integrate
+
     inner, _ = integrate.quad(lambda x: (b * x) ** 4 * (1 + x * x) ** (-delta),
                               0.0, 1.0 / b, limit=200)
     outer, _ = integrate.quad(lambda x: (1 + x * x) ** (-delta),
@@ -255,6 +267,8 @@ def check_k3(family: str) -> tuple[bool, float]:
 def k1_mass_error(family: str, b: float) -> float:
     """|integral K_b - 1| by quadrature (closed antiderivative via the sine
     integral for the slowly decaying Fejer density)."""
+    from scipy import integrate, special
+
     kern = SmoothingKernel(family, b)
     if family == "gaussian":
         mass, _ = integrate.quad(kern.density, -12 * b, 12 * b, limit=200)
@@ -263,7 +277,7 @@ def k1_mass_error(family: str, b: float) -> float:
     else:
         # integral_{-R}^{R} K_b = (2/pi) [Si(R/b) - (1 - cos(R/b)) / (R/b)]
         big = 1e9
-        si, _ci = sici(big)
+        si, _ci = special.sici(big)
         mass = (2 / math.pi) * (si - (1 - math.cos(big)) / big)
     return abs(mass - 1.0)
 

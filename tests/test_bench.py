@@ -584,35 +584,43 @@ class TestCli:
         with open(results, newline="") as fh:
             assert np.isfinite(float(next(csv.DictReader(fh))["mse"]))
 
-    @pytest.mark.parametrize("over,code", [
-        ({"bandwidth": 1e-300, "smooth_family": "gaussian"}, 0),
-        ({"bandwidth": 1e-300, "smooth_family": "epanechnikov"}, 0),
-        ({"bandwidth": 1e-300, "smooth_family": "bandlimited"}, 0),
-        ({"A": 1e307, "method": "plugin"}, 3),
-        ({"bandwidth": 5e-324, "smooth_family": "gaussian"}, 2),
-        ({"bandwidth": 5e-324, "smooth_family": "epanechnikov"}, 2),
-        ({"bandwidth": 5e-324, "smooth_family": "bandlimited"}, 2),
+    @pytest.mark.parametrize("over,code,command", [
+        ({"bandwidth": 1e-300, "smooth_family": "gaussian"}, 0, "bench"),
+        ({"bandwidth": 1e-300, "smooth_family": "epanechnikov"}, 0, "bench"),
+        ({"bandwidth": 1e-300, "smooth_family": "bandlimited"}, 0, "bench"),
+        ({"A": 1e307, "method": "plugin"}, 3, "bench"),
+        ({"bandwidth": 5e-324, "smooth_family": "gaussian"}, 2, "bench"),
+        ({"bandwidth": 5e-324, "smooth_family": "epanechnikov"}, 2, "bench"),
+        ({"bandwidth": 5e-324, "smooth_family": "bandlimited"}, 2, "bench"),
+        ({"jump_law": {"kind": "gaussian", "mean": 1e308, "sd": 1}}, 3, "bench"),
+        ({"jump_law": {"kind": "gaussian", "mean": 3e307, "sd": 1}}, 3, "bench"),
+        ({"jump_law": {"kind": "gaussian", "mean": 1e308, "sd": 1}}, 3, "simulate"),
     ], ids=["bandwidth-gaussian", "bandwidth-epanechnikov", "bandwidth-bandlimited", "A",
             "subnormal-bandwidth-gaussian", "subnormal-bandwidth-epanechnikov",
-            "subnormal-bandwidth-bandlimited"])
-    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, over, code):
+            "subnormal-bandwidth-bandlimited", "jump-sums", "ecf-positions",
+            "simulate-jump-sums"])
+    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, over, code, command):
         # the kernel tails square to inf (value 0); the plug-in's NUFFT positions
         # overflow to inf, which is refused; a bandwidth whose reciprocal
         # overflows is refused when the config is loaded (raw JSON, since
-        # ExperimentConfig itself refuses it)
+        # ExperimentConfig itself refuses it); jump sums that overflow give a
+        # non-finite sample, which is refused, and sample values near 3e307
+        # put the ECF's NUFFT positions beyond 2^52 grid points (or at inf)
         doc = small_cfg(window=[6, 6], grid_points=64).to_dict()
         doc.update(over)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli_main(["bench", "--config", str(cfg_path),
+            assert cli_main([command, "--config", str(cfg_path),
                              "--out", str(tmp_path / "r.csv")]) == code
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err
         if code == 2:
             assert "bandwidth" in err and len(err.strip().splitlines()) == 1
+        if code == 3:
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("method,coeffs", [
         ("fourier", [1e-200, 0.5e-200]),  # f1^2 underflows, so a series scale is 0

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from levyfield import grids
 from levyfield.errors import GridMismatchError, InvalidInputError, ResourceLimitError
 from levyfield.grids import (
     Grid1D,
     _direct_sum,
+    _fast_len,
     _nufft_interp,
     GridFunction,
     convolve,
@@ -377,6 +379,13 @@ class TestConvolve:
         k = GridFunction(Grid1D(-20 * dx, 20 * dx, 41), rng.normal(size=41))
         want = (np.convolve(f.values, k.values) * dx)[np.arange(g.n) + 20]
         assert_lags_close(convolve(f, k).values, want, f, k)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 1 << 17), (grids._MAX_CELLS - 1000, grids._MAX_CELLS + 1000)],
+                             ids=["up-to-2^17", "near-budget"])
+    def test_fast_len_is_scipys_real_fft_length(self, lo, hi):
+        # the reference: scipy's 5-smooth length for real FFTs
+        want = [next_fast_len(n, real=True) for n in range(lo, hi + 1)]
+        assert [_fast_len(n) for n in range(lo, hi + 1)] == want
 
     def test_fft_length_over_budget_refused(self, monkeypatch):
         # 201 + 300 - 1 lags need an FFT of 500 points or more

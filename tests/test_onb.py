@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from levyfield.bench import _WEIGHT
+from levyfield.config import section7_config
 from levyfield.errors import InvalidInputError, PreconditionError, SingularSystemError
 from levyfield.grids import Grid1D, symmetric_grid
 from levyfield.model import SimpleKernel, forward_g_transform
@@ -212,6 +215,29 @@ class TestSolve:
                            e_values=bench_system.e_values, mix=B)
         x = rng.normal(size=7)
         assert np.max(np.abs(solve_coefficients(B @ x, system) - x)) < 1e-12
+
+    @pytest.mark.parametrize("law", ["gaussian", "exponential"])
+    def test_section7_system_matches_lapack(self, law):
+        # the reference: LAPACK's triangular solve, on the pipeline's system
+        cfg = section7_config(law, "onb")
+        system = build_eta(HaarBasis(cfg.A, int(cfg.m)), cfg.kernel_obj(), _WEIGHT)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            y = rng.normal(size=system.m) * 10.0 ** rng.uniform(-6, 2)
+            want = solve_triangular(system.mix, y)
+            assert np.max(np.abs(solve_coefficients(y, system) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 32])
+    def test_random_upper_triangular_matches_lapack(self, m):
+        rng = np.random.default_rng(m)
+        basis = HaarBasis(1.0, m)
+        for _ in range(20):
+            B = np.triu(rng.normal(size=(m, m))) + 3 * np.eye(m)
+            system = EtaSystem(basis=basis, pivot_value=1.0, n1=1, h=_WEIGHT, e_contraction=0.0,
+                               eta_values=np.zeros((m, 1)), e_values=np.zeros((m, 1)), mix=B)
+            y = rng.normal(size=m)
+            want = solve_triangular(B, y)
+            assert np.max(np.abs(solve_coefficients(y, system) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_singular_diagonal(self, bench_system):
         B = bench_system.mix.copy()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import sici
+from scipy.special import polygamma, sici
 
 from levyfield.errors import DivergentBoundError, InvalidInputError
 from levyfield.grids import (
@@ -25,7 +25,7 @@ from levyfield.smooth import (
     select_bandwidth,
     smooth,
 )
-from levyfield.smooth import _fejer_mass
+from levyfield.smooth import _fejer_mass, _trigamma
 
 
 def g0_gauss(x):
@@ -101,6 +101,27 @@ class TestFejerMass:
             total += float(np.sum(kern.density(np.arange(k0, min(k0 + (1 << 20), r + 1)) * DX)))
         full = DX * (total - float(kern.density(r * DX)))
         assert _fejer_mass(b, DX, r) == pytest.approx(full, rel=1e-13, abs=0)
+
+    def test_trigamma_is_scipys_polygamma(self):
+        # every n the closed form reaches up to 4e4, then log-spaced to 1e12;
+        # the reference is scipy's polygamma
+        ns = np.unique(np.concatenate([np.arange(1911, 40000),
+                                       np.geomspace(4e4, 1e12, 4000).astype(np.int64)]))
+        want = polygamma(1, ns.astype(float))
+        got = np.array([_trigamma(int(n)) for n in ns])
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_smallest_reachable_radius(self):
+        # spacing = pi b exactly takes the closed form at r = 1910, so psi_1
+        # is read at its smallest argument, n = 1911
+        b = 0.5
+        kern = SmoothingKernel("bandlimited", b)
+        dx = math.pi * b
+        r = math.ceil(kern.effective_radius() / dx)
+        assert r == 1910
+        full = dx * (float(np.sum(kern.density(np.arange(-r, r + 1) * dx)))
+                     - float(kern.density(r * dx)))
+        assert _fejer_mass(b, dx, r) == pytest.approx(full, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("b,dx", [(1.0, 1e-6), (0.5, 1e-9)])
     def test_radius_beyond_the_grid_budget(self, b, dx):
