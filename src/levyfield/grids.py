@@ -315,8 +315,9 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
     m_r, kernel_dft = _fine_grid(max(c, x.n - 1 - c))
     fine = np.zeros((len(rows), m_r), dtype=complex)
     fine[:, m & (m_r - 1)] = rows / kernel_dft[np.abs(m)]
-    # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r
-    grid = np.fft.ifft(fine, axis=1, norm="forward")
+    # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r; in place, so
+    # the call holds one fine-grid array, not two
+    grid = np.fft.ifft(fine, axis=1, norm="forward", out=fine)
     out = np.empty((len(rows), len(u)), dtype=complex)
     for start in range(0, len(u), _SPREAD_BLOCK):
         block = slice(start, start + _SPREAD_BLOCK)
