@@ -13,11 +13,10 @@ Note on the third line: theta_hat estimates E[Y e^{iuY}] = psi(u) F[g1](u),
 so the consistent spectral estimator is theta_hat / psi_tilde with no
 additional phase factor.
 
-The first two sums are one call of :func:`grids.phase_sum`, the sum every
-transform of the package uses, on the half of the symmetric, odd-count
-u-grid from an exact u = 0; Hermitian symmetry gives the other half.
-There it runs a type-1 non-uniform FFT of real weights, in
-O(N * width + n_u log n_u) work instead of O(N n_u).  It agrees with
+The first two sums are one type-1 non-uniform FFT of real weights,
+:func:`grids._nufft_sum`, on the half of the symmetric, odd-count u-grid,
+u_m = m du from u = 0; Hermitian symmetry gives the other half.  It runs
+in O(N * width + n_u log n_u) work instead of O(N n_u), and agrees with
 direct exponentials to about 1e-13 times the scale of the weights (1 for
 psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and the
 sample mean.
@@ -34,8 +33,8 @@ from .errors import CoverageError, DivergentBoundError, InvalidInputError
 from .grids import (
     Grid1D,
     GridFunction,
+    _nufft_sum,
     inverse_transform_at,
-    phase_sum,
     symmetric_grid,
     trapezoid_weights,
 )
@@ -72,10 +71,11 @@ def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
     symmetric u-grid with an odd node count; any other grid is refused
     with InvalidInputError.
 
-    The half-grid from an exact u = 0 is one :func:`grids.phase_sum` over
-    the coefficient rows 1 and Y, divided by N; Hermitian symmetry
-    psi_hat(-u) = conj(psi_hat(u)) fills the other half.  The centre node
-    holds exactly 1 and the sample mean.
+    The half-grid u_m = m du, du = u_grid.hi / mid, m = 0 .. mid, is one
+    type-1 NUFFT (:func:`grids._nufft_sum`) over the coefficient rows 1
+    and Y, divided by N; Hermitian symmetry psi_hat(-u) = conj(psi_hat(u))
+    fills the other half.  The centre node holds exactly 1 and the sample
+    mean.
     """
     if not (u_grid.is_symmetric() and u_grid.n % 2 == 1):
         raise InvalidInputError(
@@ -85,10 +85,7 @@ def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
     if len(y) < 1:
         raise InvalidInputError("need at least one observation")
     mid = u_grid.n // 2
-    u = u_grid.nodes()[mid:]
-    # the middle node may miss 0 by rounding; an exact 0 keeps the weights real
-    u[0] = 0.0
-    half = phase_sum(np.stack([np.ones_like(y), y]), y, u) / len(y)
+    half = _nufft_sum(np.stack([np.ones_like(y), y]), y, u_grid.hi / mid, mid + 1, 1.0) / len(y)
     psi, theta = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
     psi[mid] = 1.0
     theta[mid] = y.mean()

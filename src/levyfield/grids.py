@@ -10,21 +10,24 @@ so that Plancherel reads ||F f||_2^2 = 2 pi ||f||_2^2.
 
 Quadrature is composite trapezoid.  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
-sum_j c_j exp(+-i u_k x_j), evaluated by :func:`phase_sum`.  Sources on a
-Grid1D (every transform of a GridFunction) take a type-2 non-uniform FFT
-at any targets; real rows on uniform targets from u = 0 (the ECF's
-samples on its half-grid) take a type-1 non-uniform FFT; the direct
-O(n*m) sum is the reference path of both and serves what is left.  Both
-fast paths agree with it to about 1e-13 of sum_j |c_j|, and the tests pin
-1e-10.  The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
+sum_j c_j exp(+-i u_k x_j), by one of two non-uniform FFTs chosen by the
+kind of its sources.  Sources on a Grid1D (every transform of a
+GridFunction) go through :func:`phase_sum`, the type-2 NUFFT, at any
+targets; the ECF's samples, real rows of scattered sources, go through
+:func:`_nufft_sum`, the type-1 NUFFT, on its half-grid u_m = m du from
+u = 0.  Both serve every size from 2 sources or targets up and agree with
+the direct O(n*m) sum :func:`_direct_sum` to about 1e-13 of
+sum_j |c_j|; the direct sum is the tests' reference, and they pin 1e-10.
+The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
 targets, the plan that depends only on the source grid and the targets
 (:func:`_interp_plan`): 212 bytes per target, so at most 3.5 MB per plan
 and 28 MB for the _KEEP plans kept, at any grid size; building one
 imports scipy.sparse, which nothing else in the package loads.
 Convolution is one FFT product (:func:`convolve`) of a 5-smooth length
 (:func:`_fast_len`).  No grid or FFT may have more than
-``_MAX_CELLS`` nodes (:func:`_check_budget`), and neither fast path places
-a point more than ``_MAX_POSITION`` grid points from the origin.
+``_MAX_CELLS`` nodes (:func:`_check_budget`), the periodic grid of either
+NUFFT included, and neither NUFFT places a point more than
+``_MAX_POSITION`` grid points from the origin.
 """
 
 from __future__ import annotations
@@ -159,8 +162,9 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def _direct_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
-    """Reference path of :func:`phase_sum`: the phase matrix, built in
-    chunks of about 4e6 entries, applied to every coefficient row."""
+    """sum_j coef_j exp(sign * i * u_k * x_j) by the phase matrix, built in
+    chunks of about 4e6 entries, applied to every coefficient row: the
+    reference that the tests hold both NUFFTs to."""
     coef = np.asarray(coef)
     out = np.empty(coef.shape[:-1] + (len(u),), dtype=complex)
     chunk = max(1, int(4e6 // max(len(x), 1)))
@@ -185,10 +189,13 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_KEEP)
 def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
     """The periodic grid of both NUFFTs for Fourier indices |m| <= max_index:
-    its size m_r, the power of two >= 4 max_index (oversampling >= 2), and
+    its size m_r, the power of two >= 4 max_index (oversampling >= 2) and
+    >= 4 _ES_WIDTH (so that the kernel's taps fit on it at any index), and
     the DFT of the kernel sampled on it at indices 0 .. m_r / 2, kept as
-    _KEEP says."""
-    m_r = 1 << (4 * max_index - 1).bit_length()
+    _KEEP says.  A grid past _MAX_CELLS points is refused before it is
+    allocated."""
+    m_r = max(4 * _ES_WIDTH, 1 << (4 * max_index - 1).bit_length())
+    _check_budget(m_r, "non-uniform FFT grid points")
     half = _ES_WIDTH // 2
     sampled = np.zeros(m_r)
     nodes = np.arange(-half, half + 1)
@@ -211,9 +218,12 @@ def _tap_nodes(t: np.ndarray, m_r: int) -> np.ndarray:
     return base.astype(np.int64) & (m_r - 1)
 
 
-def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> np.ndarray:
-    """Type-1 (spreading) non-uniform FFT of :func:`phase_sum` for real rows
-    on the uniform targets u_m = m du, m = 0 .. n_u - 1.
+def _nufft_sum(coef: np.ndarray, x: np.ndarray, du: float, n_u: int,
+               sign: float) -> np.ndarray:
+    """Type-1 (spreading) non-uniform FFT: S(u_m) = sum_j coef_j
+    exp(sign * i * u_m * x_j) for real rows of weights on the sources x, at
+    the uniform targets u_m = m du, m = 0 .. n_u - 1 (n_u >= 2), the ECF's
+    half-grid.
 
     Each row is the Fourier coefficients S(m) = sum_j coef_j e^{i m du x_j}
     of its real weights.  The row is spread by the exponential-of-semicircle
@@ -223,12 +233,12 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
     Comput. 41(5), 2019).  Spreading runs tap-major over blocks of
     _SPREAD_BLOCK sources: tap tau adds one bincount per row at offset tau,
     and a row of unit weights spreads the kernel values themselves.  A
-    negative sign negates the sources.
+    negative sign negates the sources.  It agrees with :func:`_direct_sum`
+    to about 1e-13 of sum_j |coef_j|, and tests/test_ecf.py pins 1e-10 for
+    both signs from 2 targets up.
     """
     x = sign * x
     rows = np.asarray(coef).reshape(-1, len(x))
-    n_u = len(u)
-    du = u[-1] / (n_u - 1)
     m_r, kernel_dft = _fine_grid(n_u - 1)
     half = _ES_WIDTH // 2
     unit = [bool(np.all(row == 1.0)) for row in rows]
@@ -261,7 +271,7 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, u: np.ndarray, sign: float) -> n
 
 @functools.lru_cache(maxsize=_KEEP)
 def _interp_plan(x: Grid1D, targets: bytes, sign: float):
-    """The interpolation plan of :func:`_nufft_interp` for sources on x and
+    """The interpolation plan of :func:`phase_sum` for sources on x and
     the targets u (float64 bytes, at most _SPREAD_BLOCK of them): a
     read-only csr_matrix of len(u) rows and m_r columns whose row k holds the
     kernel weights of target k at its _ES_WIDTH taps, in tap order, and the
@@ -295,10 +305,13 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     return plan, phase
 
 
-def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np.ndarray:
-    """Type-2 (interpolating) non-uniform FFT of :func:`phase_sum` for
-    sources on the uniform grid x, at any targets u.
+def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for every row of coef,
+    with the sources x_j on the nodes of the uniform grid x, at any targets u.
 
+    ``coef`` is one row (length x.n) or a stack of rows; the result has one
+    row of len(u) values per coefficient row.  This is the type-2
+    (interpolating) non-uniform FFT, in O(x.n log x.n + 16 len(u)) work.
     With x_j = x_c + m dx, m = j - c, c = n // 2, each row is the Fourier
     series S(u) = e^{i s u x_c} sum_m coef_m e^{i m t}, t = s u dx, s = sign.
     The coefficients, divided by the DFT of the exponential-of-semicircle
@@ -308,7 +321,10 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
     nearest grid nodes by one sparse product with its kept plan
     (:func:`_interp_plan`), and takes the centring phase.  This is the
     adjoint of :func:`_nufft_sum` (Barnett, Magland & af Klinteberg, 2019).
+    It agrees with :func:`_direct_sum` to about 1e-13 of sum_j |coef_j|,
+    and tests/test_grids.py pins 1e-10 for both signs from 2 nodes up.
     """
+    u = np.asarray(u, dtype=float)
     rows = np.asarray(coef).reshape(-1, x.n)
     c = x.n // 2
     m = np.arange(x.n) - c
@@ -326,44 +342,6 @@ def _nufft_interp(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float) -> np
         if phase is not None:
             out[:, block] *= phase
     return out.reshape(np.shape(coef)[:-1] + (len(u),))
-
-
-def _uniform(points: np.ndarray) -> bool:
-    d = np.diff(points)
-    return bool(d[0] != 0 and np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0])))
-
-
-def phase_sum(coef: np.ndarray, x: np.ndarray | Grid1D, u: np.ndarray,
-              sign: float = 1.0) -> np.ndarray:
-    """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for every row of coef.
-
-    ``coef`` is one row (length len(x)) or a stack of rows; the result has
-    one row of len(u) values per coefficient row.  ``x`` holds the sources,
-    or is the Grid1D whose nodes they are.  The route:
-
-    - sources given as a Grid1D of more than 28 nodes take the type-2
-      (interpolating) non-uniform FFT ``_nufft_interp``, for any targets;
-    - real rows on more than 28 uniform targets that start at exactly
-      u = 0 (the ECF half-grid) take the type-1 (spreading) non-uniform
-      FFT ``_nufft_sum``;
-    - everything else takes the direct sum ``_direct_sum``, the reference
-      path of both.
-
-    Both fast paths agree with the direct sum to about 1e-13 of
-    sum_j |coef_j|, in O(16 len(x) + len(u) log len(u)) work (type 1) or
-    O(len(x) log len(x) + 16 len(u)) work (type 2).  The tests pin each
-    against it at 1e-10 for both signs: type 1 in tests/test_ecf.py, type 2
-    in tests/test_grids.py.
-    """
-    u = np.asarray(u, dtype=float)
-    if isinstance(x, Grid1D):
-        if x.n > 28:
-            return _nufft_interp(coef, x, u, sign)
-        return _direct_sum(coef, x.nodes(), u, sign)
-    x = np.asarray(x, dtype=float)
-    if len(u) > 28 and u[0] == 0.0 and not np.iscomplexobj(coef) and _uniform(u):
-        return _nufft_sum(coef, x, u, sign)
-    return _direct_sum(coef, x, u, sign)
 
 
 def fourier_forward(f: GridFunction, u_grid: Grid1D) -> GridFunction:

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from levyfield import grids
 from levyfield.model import JumpLaw, SimpleKernel, WeightH
+
+
+@pytest.fixture
+def no_direct_sum(monkeypatch):
+    """grids._direct_sum made to raise, for routing tests: the reference sum
+    serves the tests alone.  A test module's own imported name keeps the
+    real sum for its references."""
+
+    def refuse(*args):
+        raise AssertionError("the direct sum was reached")
+
+    monkeypatch.setattr(grids, "_direct_sum", refuse)
 
 
 @pytest.fixture

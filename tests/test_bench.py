@@ -491,11 +491,15 @@ class TestCli:
         {"A": 1e30},                            # x-grid positions past 2^52
         {"oracle_g1": True, "jump_law": {"kind": "tabulated", "x": [-4, -2, 0, 2, 4],
                                          "density": [1e300] * 5}},  # squared error overflows
+        # a 40,960,001-node u-grid, within budget, whose ECF needs a
+        # 2^27-point type-1 NUFFT grid
+        {"kernel": {"coeffs": [1.0] * 12 + [10.0], "offsets": [[i, 0] for i in range(13)]},
+         "n_N": 4, "window": [20, 20]},
     ], ids=["A", "grid_points", "m=2^45+1", "m=8192", "A=1e-310-fourier",
             "A=1e-310-onb", "A=1e308-onb", "bandwidth=1e308-epanechnikov",
             "bandwidth=1e308-bandlimited", "n_N=10^400", "reps=10^400", "l=1e300",
-            "mean=1e300", "A=1e30", "density=1e300"])
-    def test_oversized_kernel_grid_exit_code(self, tmp_path, over):
+            "mean=1e300", "A=1e30", "density=1e300", "nufft-grid"])
+    def test_oversized_kernel_grid_exit_code(self, tmp_path, capsys, over):
         # each grid, series or batch is refused before it is allocated: by the
         # grid or term budget, or because its spacing or node count is not a
         # normal float; and so is a point past either non-uniform FFT's
@@ -503,6 +507,7 @@ class TestCli:
         cfg_path = self._write_cfg(tmp_path, **{"reps": 1, **over})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_appendix_rates_budget_exit_code(self, monkeypatch):
         # 10^12 replications of 14584 cells, refused before the first sample

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levyfield import grids
+from levyfield import bench, grids
+from levyfield import ecf as ecf_module
+from levyfield.config import section7_config
 from levyfield.errors import CoverageError, DivergentBoundError, InvalidInputError
 from levyfield.grids import (
     Grid1D,
@@ -19,6 +21,7 @@ from levyfield.grids import (
     trapezoid_weights,
 )
 from levyfield.model import (
+    JumpLaw,
     field_char_fn,
     field_theta,
     forward_levy_density,
@@ -40,16 +43,12 @@ from levyfield.ecf import (
 from oracles import field_moments
 
 
-def refuse(*args):
-    """Stands in for a sum path that a routing test says is not taken."""
-    raise AssertionError("a patched-out sum path ran")
-
-
 class TestComputeEcf:
     def test_degenerate_zero_sample(self):
+        # the type-1 NUFFT of sources at 0 rounds psi_hat only in its last bits
         grid = symmetric_grid(2.0, 21)
         ecf = compute_ecf(np.zeros(10), grid)
-        assert np.all(ecf.psi_hat == 1.0)
+        assert np.max(np.abs(ecf.psi_hat - 1.0)) <= 1e-13
         assert np.all(ecf.theta_hat == 0.0)
 
     def test_single_observation(self):
@@ -103,31 +102,32 @@ class TestComputeEcf:
 
     @pytest.mark.parametrize("asymmetric", [False, True])
     def test_refuses_other_u_grids(self, monkeypatch, asymmetric):
-        monkeypatch.setattr(grids, "_direct_sum", refuse)
-        monkeypatch.setattr(grids, "_nufft_sum", refuse)
+        monkeypatch.setattr(ecf_module, "_nufft_sum", None)  # a call would be a TypeError
         grid = Grid1D(-1.0, 2.0, 101) if asymmetric else symmetric_grid(2.0, 100)
         with pytest.raises(InvalidInputError, match="odd node count"):
             compute_ecf(np.ones(10), grid)
 
-    def test_half_grid_takes_the_fast_path(self, monkeypatch):
+    def test_half_grid_takes_the_fast_path(self, no_direct_sum):
         # the values are pinned by test_fast_path_matches_direct_exponentials
-        monkeypatch.setattr(grids, "_direct_sum", refuse)
         y = np.random.default_rng(6).normal(size=2000)
         assert compute_ecf(y, symmetric_grid(np.pi, 4097)).psi_hat.shape == (4097,)
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
            scale=st.floats(0.1, 200.0), seed=st.integers(0, 2 ** 32 - 1),
-           du=st.floats(1e-3, 0.05), half=st.integers(14, 300),
+           du=st.floats(1e-3, 0.05), half=st.integers(1, 300),
            sign=st.sampled_from([1.0, -1.0]))
     @example(n_obs=1, kind="tails", scale=200.0, seed=0, du=np.pi / 2048, half=1024, sign=1.0)
     @example(n_obs=500, kind="zeros", scale=1.0, seed=0, du=0.01, half=200, sign=-1.0)
+    @example(n_obs=7, kind="normal", scale=1.0, seed=0, du=0.05, half=1, sign=1.0)
+    @example(n_obs=3000, kind="tails", scale=200.0, seed=1, du=1e-3, half=1, sign=-1.0)
     @settings(max_examples=30, deadline=None)
     def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, du, half, sign):
-        # the type-1 path: the ECF rows 1 and Y, each over N, on 29 or more
-        # targets from u = 0 (odd counts for parity 0, even for 1), the ECF
-        # half-grid.  The Y row rounds at the scale of max |Y| in both paths,
-        # so it is compared at that scale, the row of ones at scale 1
+        # the type-1 path: the ECF rows 1 and Y, each over N, on 2 half + parity
+        # targets from u = 0 (even counts from 2 for parity 0, odd from 3
+        # for 1), the ECF half-grid.  The Y row rounds at the scale of max |Y|
+        # in both paths, so it is compared at that scale, the row of ones at
+        # scale 1
         rng = np.random.default_rng(seed)
         if kind == "zeros":
             y = np.zeros(n_obs)
@@ -137,8 +137,8 @@ class TestComputeEcf:
             y = np.clip(rng.laplace(scale=scale, size=n_obs), -1e3, 1e3)
             y[0] = 1e3
         rows = np.stack([np.ones_like(y), y]) / n_obs
-        u = du * np.arange(2 * half + 1 + parity)
-        fast = grids._nufft_sum(rows, y, u, sign)
+        u = du * np.arange(2 * half + parity)
+        fast = grids._nufft_sum(rows, y, du, len(u), sign)
         ref = _direct_sum(rows, y, u, sign)
         err = np.max(np.abs(fast - ref), axis=1)
         assert err[0] <= 1e-10
@@ -146,24 +146,33 @@ class TestComputeEcf:
 
 
 class TestPhaseSumRoute:
-    @pytest.mark.parametrize("case", ["complex rows", "targets from u0 != 0", "20-node Grid1D"])
-    def test_direct_sum_serves_the_rest(self, monkeypatch, case):
+    def test_small_grid_takes_the_type_2_path(self, no_direct_sum):
         rng = np.random.default_rng(7)
-        y = rng.normal(size=300)
-        u = 0.01 * np.arange(2049)
-        coef = np.stack([np.ones_like(y), y])
-        if case == "complex rows":
-            coef = coef + 1j * rng.normal(size=coef.shape)
-        elif case == "targets from u0 != 0":
-            u = u + 0.5
-        else:
-            y = Grid1D(-3.0, 3.0, 20)
-            coef = rng.normal(size=20)
-            u = -40.0 + 0.04 * np.arange(2049)
-        sources = y.nodes() if isinstance(y, Grid1D) else y
-        ref = _direct_sum(coef, sources, u, 1.0)
-        monkeypatch.setattr(grids, "_nufft_sum", refuse)
-        assert np.array_equal(phase_sum(coef, y, u), ref)
+        grid = Grid1D(-3.0, 3.0, 20)
+        coef = rng.normal(size=20)
+        u = -40.0 + 0.04 * np.arange(2049)
+        ref = _direct_sum(coef, grid.nodes(), u, 1.0)
+        assert np.max(np.abs(phase_sum(coef, grid, u) - ref)) <= 1e-10 * np.sum(np.abs(coef))
+
+    @pytest.mark.parametrize("case", ["section 7 cells", "grid_points 8", "5-node tabulated law"])
+    def test_no_caller_reaches_the_direct_sum(self, no_direct_sum, case):
+        # every sum of the package takes one of the two NUFFTs, at any size
+        if case == "5-node tabulated law":
+            grid = Grid1D(-2.0, 2.0, 5)
+            x = grid.nodes()
+            law = JumpLaw.tabulated(GridFunction(grid, np.exp(-x ** 2 / 2)))
+            w = trapezoid_weights(grid) * law.density_.values / law.mass
+            u = np.linspace(-3.0, 3.0, 7)
+            assert np.max(np.abs(law.char_fn(u) - _direct_sum(w, x, u, 1.0))) <= 1e-10
+            deriv = _direct_sum(1j * x * w, x, u, 1.0)
+            assert np.max(np.abs(law.char_fn_deriv(u) - deriv)) <= 2e-10
+            return
+        bench._config_setup.cache_clear()  # a kept setup would skip its sums
+        over = {"grid_points": 8, "bandwidth": "auto"} if case == "grid_points 8" else {}
+        for law in ("gaussian", "exponential"):
+            for method in ("plugin", "fourier", "onb"):
+                cfg = section7_config(law, method, window=[30, 30], **over)
+                assert np.isfinite(bench.run_pipeline(cfg, 0).mse)
 
 
 class TestStabilize:

@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from levyfield import grids
+from levyfield.ecf import compute_ecf
 from levyfield.errors import GridMismatchError, InvalidInputError, ResourceLimitError
 from levyfield.grids import (
     Grid1D,
     _direct_sum,
     _fast_len,
-    _nufft_interp,
+    _fine_grid,
     GridFunction,
     convolve,
     fourier_forward,
     fourier_inverse_truncated,
     inverse_transform_at,
     l2_norm,
+    phase_sum,
     symmetric_grid,
     trapezoid_weights,
 )
@@ -176,15 +178,17 @@ class TestFourierInverse:
 class TestInterpolatingNufft:
     @pytest.mark.parametrize("targets", ["uniform", "scattered", "concatenated"])
     @pytest.mark.parametrize("stacked", [False, True])
-    @given(n=st.integers(29, 700), lo=st.floats(-50.0, 10.0), dx=st.floats(1e-3, 0.2),
+    @given(n=st.integers(2, 700), lo=st.floats(-50.0, 10.0), dx=st.floats(1e-3, 0.2),
            n_u=st.integers(0, 400), reach=st.floats(0.1, 300.0),
            sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2, lo=-1.0, dx=0.1, n_u=29, reach=1.0, sign=1.0, seed=0)
+    @example(n=5, lo=-1.0, dx=0.1, n_u=29, reach=30.0, sign=-1.0, seed=0)
     @example(n=29, lo=-1.0, dx=0.1, n_u=29, reach=1.0, sign=1.0, seed=0)
     @example(n=30, lo=-1.0, dx=0.1, n_u=29, reach=1.0, sign=-1.0, seed=0)
     @example(n=4097, lo=-np.pi, dx=np.pi / 2048, n_u=300, reach=101.0, sign=-1.0, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_matches_direct_sum(self, targets, stacked, n, lo, dx, n_u, reach, sign, seed):
-        # uniform sources of either parity from 29 nodes up; uniform targets
+        # uniform sources of either parity from 2 nodes up; uniform targets
         # from a random start, scattered targets, and the concatenation of
         # scaled copies of a grid that the plug-in series evaluates
         rng = np.random.default_rng(seed)
@@ -198,7 +202,7 @@ class TestInterpolatingNufft:
             u = np.concatenate([s * x for s in (1.0, -0.35, 2.5)])
         shape = (3, n) if stacked else (n,)
         coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        fast = _nufft_interp(coef, grid, u, sign)
+        fast = phase_sum(coef, grid, u, sign)
         ref = _direct_sum(coef, grid.nodes(), u, sign)
         assert fast.shape == ref.shape
         err = np.max(np.abs(fast - ref), axis=-1, initial=0.0)
@@ -209,8 +213,8 @@ class TestInterpolatingNufft:
         coef = np.random.default_rng(3).normal(size=64) + 0j
         u = np.linspace(-30.0, 30.0, 101)
         grids._interp_plan.cache_clear()
-        first = _nufft_interp(coef, grid, u, -1.0)
-        second = _nufft_interp(coef, grid, u, -1.0)
+        first = phase_sum(coef, grid, u, -1.0)
+        second = phase_sum(coef, grid, u, -1.0)
         info = grids._interp_plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert np.array_equal(first, second)
@@ -230,7 +234,7 @@ class TestInterpolatingNufft:
         grid = Grid1D(-1.0, 2.0, 64)
         coef = np.random.default_rng(5).normal(size=(2, 64)) + 0j
         u = np.linspace(-30.0, 30.0, 101)
-        _nufft_interp(coef, grid, u, 1.0)
+        phase_sum(coef, grid, u, 1.0)
         assert calls == [True]
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -241,19 +245,15 @@ class TestInterpolatingNufft:
         shape = (3, 64) if stacked else (64,)
         coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         u = rng.uniform(-30.0, 30.0, 101)
-        whole = _nufft_interp(coef, grid, u, 1.0)
+        whole = phase_sum(coef, grid, u, 1.0)
         monkeypatch.setattr(grids, "_SPREAD_BLOCK", 16)
-        assert np.array_equal(_nufft_interp(coef, grid, u, 1.0), whole)
+        assert np.array_equal(phase_sum(coef, grid, u, 1.0), whole)
 
-    def test_scattered_targets_take_the_fast_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("direct sum reached")
-
+    def test_scattered_targets_take_the_fast_path(self, no_direct_sum):
         F = gaussian_transform(symmetric_grid(np.pi, 4097))
         points = np.random.default_rng(5).uniform(-101.0, 101.0, 6144)
         coef = trapezoid_weights(F.grid) * F.values / (2 * np.pi)
         ref = _direct_sum(coef, F.grid.nodes(), points, -1.0).real
-        monkeypatch.setattr(grids, "_direct_sum", refuse)
         err = np.max(np.abs(inverse_transform_at(F, points) - ref))
         assert err <= 1e-10 * np.sum(np.abs(coef))
 
@@ -264,10 +264,16 @@ def test_position_past_bound_refused_before_cast(cast, far):
     # past 2^52 fine-grid points a position keeps no offset between its taps
     u = 0.01 * np.arange(64)
     with pytest.raises(InvalidInputError, match="beyond 2\\^52"):
-        if cast == "type-1 source":  # the ECF's samples
-            grids.phase_sum(np.ones(40), np.append(np.zeros(39), far), u)
+        if cast == "type-1 source":  # the ECF's samples, on the half-grid u
+            compute_ecf(np.append(np.zeros(39), far), symmetric_grid(u[-1], 127))
         else:  # a transform of a GridFunction
-            grids.phase_sum(np.ones(40), Grid1D(-1.0, 1.0, 40), np.append(u, far))
+            phase_sum(np.ones(40), Grid1D(-1.0, 1.0, 40), np.append(u, far))
+
+
+def test_fine_grid_over_budget_refused():
+    # 2^27 points for Fourier indices up to 2^25, refused before allocation
+    with pytest.raises(ResourceLimitError, match="non-uniform FFT grid points"):
+        _fine_grid(2 ** 25)
 
 
 class TestPlancherel:
