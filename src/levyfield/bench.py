@@ -224,9 +224,10 @@ def _config_setup(key: str) -> _Setup:
 
 
 def _u_grid(cfg: ExperimentConfig, kernel: SimpleKernel) -> Grid1D:
-    """The u-grid of the ECF: _N_U nodes on [-pi l, pi l].  The Fourier
-    method's grid keeps that spacing out to pi l / min(1, min|scale|), the
-    largest argument at which :func:`invert.fourier_estimate` reads F[g1]."""
+    """The ECF's u-grid, the pipeline's only one: _N_U nodes on [-pi l, pi l],
+    where every method reads it.  The Fourier method's grid keeps that spacing
+    out to pi l / min(1, min|scale|), the largest argument at which
+    :func:`invert.fourier_estimate` reads F[g1]."""
     half = n_half = _N_U // 2
     if cfg.method == "fourier":
         rows = build_series_plan(kernel, _WEIGHT, int(cfg.n_N)).spectral_terms(_WEIGHT.beta)

@@ -13,13 +13,14 @@ Note on the third line: theta_hat estimates E[Y e^{iuY}] = psi(u) F[g1](u),
 so the consistent spectral estimator is theta_hat / psi_tilde with no
 additional phase factor.
 
-The first two sums are one type-1 non-uniform FFT of real weights,
+The first two sums are one type-1 non-uniform FFT of the sample,
 :func:`grids._nufft_sum`, on the half of the symmetric, odd-count u-grid,
 u_m = m du from u = 0; Hermitian symmetry gives the other half.  It runs
 in O(N * width + n_u log n_u) work instead of O(N n_u), and agrees with
 direct exponentials to about 1e-13 times the scale of the weights (1 for
 psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and the
-sample mean.
+sample mean.  The last line, like every method, reads Fg1_hat on the
+u-grid restricted to |u| <= pi l (:func:`grids._restrict_symmetric`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CoverageError, DivergentBoundError, InvalidInputError
+from .errors import DivergentBoundError, InvalidInputError
 from .grids import (
     Grid1D,
     GridFunction,
     _nufft_sum,
+    _restrict_symmetric,
     inverse_transform_at,
     symmetric_grid,
     trapezoid_weights,
@@ -66,26 +68,24 @@ class EcfEstimate:
     stabilized_recip: np.ndarray | None = field(default=None, repr=False)
 
 
-def compute_ecf(sample: GridSample | np.ndarray, u_grid: Grid1D) -> EcfEstimate:
+def compute_ecf(sample: GridSample, u_grid: Grid1D) -> EcfEstimate:
     """Empirical means of e^{iuY} and Y e^{iuY} over the sample on a
     symmetric u-grid with an odd node count; any other grid is refused
     with InvalidInputError.
 
     The half-grid u_m = m du, du = u_grid.hi / mid, m = 0 .. mid, is one
-    type-1 NUFFT (:func:`grids._nufft_sum`) over the coefficient rows 1
-    and Y, divided by N; Hermitian symmetry psi_hat(-u) = conj(psi_hat(u))
+    type-1 NUFFT of the sample (:func:`grids._nufft_sum`), whose two sums
+    are divided by N; Hermitian symmetry psi_hat(-u) = conj(psi_hat(u))
     fills the other half.  The centre node holds exactly 1 and the sample
-    mean.
+    mean.  The sample is nonempty and finite, as every GridSample is.
     """
     if not (u_grid.is_symmetric() and u_grid.n % 2 == 1):
         raise InvalidInputError(
             f"the ECF needs a symmetric u-grid with an odd node count, got "
             f"[{u_grid.lo}, {u_grid.hi}] with {u_grid.n} nodes")
-    y = sample.flat() if isinstance(sample, GridSample) else np.asarray(sample, dtype=float).reshape(-1)
-    if len(y) < 1:
-        raise InvalidInputError("need at least one observation")
+    y = sample.flat()
     mid = u_grid.n // 2
-    half = _nufft_sum(np.stack([np.ones_like(y), y]), y, u_grid.hi / mid, mid + 1, 1.0) / len(y)
+    half = _nufft_sum(y, u_grid.hi / mid, mid + 1, 1.0) / len(y)
     psi, theta = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
     psi[mid] = 1.0
     theta[mid] = y.mean()
@@ -107,19 +107,6 @@ def fourier_g1_hat(ecf: EcfEstimate) -> GridFunction:
     if ecf.stabilized_recip is None:
         raise InvalidInputError("call stabilize() before fourier_g1_hat")
     return GridFunction(ecf.u_grid, ecf.theta_hat * ecf.stabilized_recip)
-
-
-def _restrict_symmetric(F: GridFunction, cutoff: float) -> GridFunction:
-    g = F.grid
-    if g.hi < cutoff * (1 - 1e-9):
-        raise CoverageError(
-            f"u-grid reaches only {g.hi:.6g}, below the requested cutoff {cutoff:.6g}"
-        )
-    u = g.nodes()
-    mask = np.abs(u) <= cutoff * (1 + 1e-12)
-    sel = np.where(mask)[0]
-    sub = Grid1D(u[sel[0]], u[sel[-1]], len(sel))
-    return GridFunction(sub, F.values[sel])
 
 
 def g1_hat_at(ecf: EcfEstimate, l: float, points: np.ndarray) -> np.ndarray:

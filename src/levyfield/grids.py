@@ -12,9 +12,10 @@ Quadrature is composite trapezoid.  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
 sum_j c_j exp(+-i u_k x_j), by one of two non-uniform FFTs chosen by the
 kind of its sources.  Sources on a Grid1D (every transform of a
-GridFunction) go through :func:`phase_sum`, the type-2 NUFFT, at any
-targets; the ECF's samples, real rows of scattered sources, go through
-:func:`_nufft_sum`, the type-1 NUFFT, on its half-grid u_m = m du from
+GridFunction) go through :func:`phase_sum`, the type-2 NUFFT, which
+takes one coefficient row, at any targets; one sample's scattered values
+go through :func:`_nufft_sum`, the type-1 NUFFT, which returns the ECF's
+two sums over it, of 1 and of Y, on its half-grid u_m = m du from
 u = 0.  Both serve every size from 2 sources or targets up and agree with
 the direct O(n*m) sum :func:`_direct_sum` to about 1e-13 of
 sum_j |c_j|; the direct sum is the tests' reference, and they pin 1e-10.
@@ -23,6 +24,8 @@ targets, the plan that depends only on the source grid and the targets
 (:func:`_interp_plan`): 212 bytes per target, so at most 3.5 MB per plan
 and 28 MB for the _KEEP plans kept, at any grid size; building one
 imports scipy.sparse, which nothing else in the package loads.
+Every spectral method reads F[g1] on one grid, the ECF's u-grid
+restricted to |u| <= pi l (:func:`_restrict_symmetric`).
 Convolution is one FFT product (:func:`convolve`) of a 5-smooth length
 (:func:`_fast_len`).  No grid or FFT may have more than
 ``_MAX_CELLS`` nodes (:func:`_check_budget`), the periodic grid of either
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidInputError, ResourceLimitError
+from .errors import CoverageError, GridMismatchError, InvalidInputError, ResourceLimitError
 
 __all__ = [
     "Grid1D",
@@ -218,30 +221,26 @@ def _tap_nodes(t: np.ndarray, m_r: int) -> np.ndarray:
     return base.astype(np.int64) & (m_r - 1)
 
 
-def _nufft_sum(coef: np.ndarray, x: np.ndarray, du: float, n_u: int,
-               sign: float) -> np.ndarray:
-    """Type-1 (spreading) non-uniform FFT: S(u_m) = sum_j coef_j
-    exp(sign * i * u_m * x_j) for real rows of weights on the sources x, at
-    the uniform targets u_m = m du, m = 0 .. n_u - 1 (n_u >= 2), the ECF's
-    half-grid.
+def _nufft_sum(y: np.ndarray, du: float, n_u: int, sign: float) -> np.ndarray:
+    """Type-1 (spreading) non-uniform FFT of one sample: the two sums
+    sum_j exp(sign * i * u_m * y_j) and sum_j y_j exp(sign * i * u_m * y_j)
+    as the rows of a (2, n_u) array, at the uniform targets u_m = m du,
+    m = 0 .. n_u - 1 (n_u >= 2), the ECF's half-grid.
 
-    Each row is the Fourier coefficients S(m) = sum_j coef_j e^{i m du x_j}
-    of its real weights.  The row is spread by the exponential-of-semicircle
-    kernel onto the periodic grid of :func:`_fine_grid`, one real FFT gives
-    the kernel-weighted coefficients, and dividing by the DFT of the sampled
-    kernel recovers S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci.
-    Comput. 41(5), 2019).  Spreading runs tap-major over blocks of
-    _SPREAD_BLOCK sources: tap tau adds one bincount per row at offset tau,
-    and a row of unit weights spreads the kernel values themselves.  A
-    negative sign negates the sources.  It agrees with :func:`_direct_sum`
-    to about 1e-13 of sum_j |coef_j|, and tests/test_ecf.py pins 1e-10 for
-    both signs from 2 targets up.
+    Each row is the Fourier coefficients S(m) = sum_j w_j e^{i m du x_j},
+    x_j = sign y_j, of the weights w_j = 1 and w_j = y_j.  Both rows are
+    spread by the exponential-of-semicircle kernel onto the periodic grid of
+    :func:`_fine_grid`, one real FFT per row gives the kernel-weighted
+    coefficients, and dividing by the DFT of the sampled kernel recovers
+    S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5),
+    2019).  Spreading runs tap-major over blocks of _SPREAD_BLOCK sources:
+    tap tau adds one bincount of the kernel values and one of the kernel
+    values times y at offset tau.  It agrees with :func:`_direct_sum` to
+    about 1e-13 of sum_j |w_j|, and tests/test_ecf.py pins 1e-10 for both
+    signs from 2 targets up.
     """
-    x = sign * x
-    rows = np.asarray(coef).reshape(-1, len(x))
     m_r, kernel_dft = _fine_grid(n_u - 1)
     half = _ES_WIDTH // 2
-    unit = [bool(np.all(row == 1.0)) for row in rows]
     # Source j sits at t_j = -du x_j / h grid points, h = 2 pi / m_r, so that
     # the forward FFT's e^{-i m n h} gives e^{+i m du x_j}.  Its taps are the
     # nodes floor(t_j) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r);
@@ -249,24 +248,22 @@ def _nufft_sum(coef: np.ndarray, x: np.ndarray, du: float, n_u: int,
     # points below node 0 and half points above node m_r - 1, so tap tau of
     # a source whose floor(t_j) is b (mod m_r) lands at index b + tau.
     offsets = (np.arange(_ES_WIDTH) - (half - 1)) / half
-    spread = np.zeros((len(rows), m_r + _ES_WIDTH - 1))
-    for start in range(0, len(x), _SPREAD_BLOCK):
-        xb = x[start:start + _SPREAD_BLOCK]
-        w = rows[:, start:start + _SPREAD_BLOCK]
+    spread = np.zeros((2, m_r + _ES_WIDTH - 1))
+    for start in range(0, len(y), _SPREAD_BLOCK):
+        yb = y[start:start + _SPREAD_BLOCK]
         with np.errstate(over="ignore"):  # an infinite position is refused below
-            t = xb * (-du * m_r / (2 * np.pi))
+            t = yb * (-sign * du * m_r / (2 * np.pi))
         node = _tap_nodes(t, m_r)
         for tau, offset in enumerate(offsets):
             kern = _es_kernel(offset - t)
-            for acc, weight, is_unit in zip(spread, w, unit):
-                acc[tau:tau + m_r] += np.bincount(
-                    node, weights=kern if is_unit else kern * weight, minlength=m_r)
+            spread[0, tau:tau + m_r] += np.bincount(node, weights=kern, minlength=m_r)
+            kern *= yb
+            spread[1, tau:tau + m_r] += np.bincount(node, weights=kern, minlength=m_r)
     # fold the overhangs onto the periodic grid of nodes 0 .. m_r - 1
     grid = spread[:, half - 1:m_r + half - 1]
     grid[:, m_r - half + 1:] += spread[:, :half - 1]
     grid[:, :half] += spread[:, m_r + half - 1:]
-    spec = np.fft.rfft(grid, axis=1)[:, :n_u] / kernel_dft[:n_u]
-    return spec.reshape(np.shape(coef)[:-1] + (n_u,))
+    return np.fft.rfft(grid, axis=1)[:, :n_u] / kernel_dft[:n_u]
 
 
 @functools.lru_cache(maxsize=_KEEP)
@@ -306,14 +303,14 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
 
 
 def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for every row of coef,
-    with the sources x_j on the nodes of the uniform grid x, at any targets u.
+    """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for one row of x.n
+    coefficients, with the sources x_j on the nodes of the uniform grid x,
+    at any targets u.
 
-    ``coef`` is one row (length x.n) or a stack of rows; the result has one
-    row of len(u) values per coefficient row.  This is the type-2
-    (interpolating) non-uniform FFT, in O(x.n log x.n + 16 len(u)) work.
-    With x_j = x_c + m dx, m = j - c, c = n // 2, each row is the Fourier
-    series S(u) = e^{i s u x_c} sum_m coef_m e^{i m t}, t = s u dx, s = sign.
+    This is the type-2 (interpolating) non-uniform FFT, in
+    O(x.n log x.n + 16 len(u)) work.  With x_j = x_c + m dx, m = j - c,
+    c = n // 2, the sum is the Fourier series
+    S(u) = e^{i s u x_c} sum_m coef_m e^{i m t}, t = s u dx, s = sign.
     The coefficients, divided by the DFT of the exponential-of-semicircle
     kernel sampled on the periodic grid of :func:`_fine_grid`, go through
     one complex FFT onto that grid; each block of up to _SPREAD_BLOCK
@@ -325,23 +322,38 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
     and tests/test_grids.py pins 1e-10 for both signs from 2 nodes up.
     """
     u = np.asarray(u, dtype=float)
-    rows = np.asarray(coef).reshape(-1, x.n)
     c = x.n // 2
     m = np.arange(x.n) - c
     m_r, kernel_dft = _fine_grid(max(c, x.n - 1 - c))
-    fine = np.zeros((len(rows), m_r), dtype=complex)
-    fine[:, m & (m_r - 1)] = rows / kernel_dft[np.abs(m)]
+    fine = np.zeros(m_r, dtype=complex)
+    fine[m & (m_r - 1)] = coef / kernel_dft[np.abs(m)]
     # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r; in place, so
     # the call holds one fine-grid array, not two
-    grid = np.fft.ifft(fine, axis=1, norm="forward", out=fine)
-    out = np.empty((len(rows), len(u)), dtype=complex)
+    grid = np.fft.ifft(fine, norm="forward", out=fine)
+    out = np.empty(len(u), dtype=complex)
     for start in range(0, len(u), _SPREAD_BLOCK):
         block = slice(start, start + _SPREAD_BLOCK)
         plan, phase = _interp_plan(x, u[block].tobytes(), sign)
-        out[:, block] = (plan @ grid.T).T
+        out[block] = plan @ grid
         if phase is not None:
-            out[:, block] *= phase
-    return out.reshape(np.shape(coef)[:-1] + (len(u),))
+            out[block] *= phase
+    return out
+
+
+def _restrict_symmetric(F: GridFunction, cutoff: float) -> GridFunction:
+    """F on the nodes of its symmetric u-grid with |u| <= cutoff: the grid
+    every spectral method reads F[g1] on.  A grid that ends below the cutoff
+    raises CoverageError."""
+    g = F.grid
+    if g.hi < cutoff * (1 - 1e-9):
+        raise CoverageError(
+            f"u-grid reaches only {g.hi:.6g}, below the requested cutoff {cutoff:.6g}"
+        )
+    u = g.nodes()
+    mask = np.abs(u) <= cutoff * (1 + 1e-12)
+    sel = np.where(mask)[0]
+    sub = Grid1D(u[sel[0]], u[sel[-1]], len(sel))
+    return GridFunction(sub, F.values[sel])
 
 
 def fourier_forward(f: GridFunction, u_grid: Grid1D) -> GridFunction:

@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .grids import _KEEP, Grid1D, GridFunction, fourier_inverse_truncated, symmetric_grid
+from .grids import _KEEP, Grid1D, GridFunction, _restrict_symmetric, fourier_inverse_truncated
 from .model import SimpleKernel, WeightH, e_factor
 
 __all__ = [
@@ -243,9 +243,10 @@ def plugin_error_bound(e_factor_: float, s_f1: float, f1: float, n1: int,
 
 def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
                      n_trunc: int, l: float, x_grid: Grid1D) -> GridFunction:
-    """Spectral-domain inversion: assemble the F[g0] estimate on
-    [-pi l, pi l] from F[g1] evaluated at scaled arguments, then apply the
-    truncated inverse transform.
+    """Spectral-domain inversion: assemble the F[g0] estimate on F[g1]'s
+    grid restricted to |u| <= pi l, as g1_hat_at restricts it, from F[g1]
+    at scaled arguments (up to pi l / min|scale|, which the grid must
+    reach), then apply the truncated inverse transform.
 
     Requires h(x) = x^beta with integer beta.  The sufficient condition
     e(f, |.|^{beta+1/2}) < 1 is checked and reported as a warning when
@@ -269,12 +270,7 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
             f"F[g1] grid reaches {fg1_hat.grid.hi:.6g} but scaled arguments "
             f"need {max_arg:.6g}"
         )
-    du = fg1_hat.grid.spacing
-    n_u = int(np.ceil(2 * np.pi * l / du)) + 1
-    if n_u % 2 == 0:
-        n_u += 1
-    n_u = max(n_u, 129)
-    u_grid = symmetric_grid(np.pi * l, n_u)
+    u_grid = _restrict_symmetric(fg1_hat, np.pi * l).grid
     u = u_grid.nodes()
     f0 = np.zeros(len(u), dtype=complex)
     for scale, w in rows:

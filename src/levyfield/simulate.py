@@ -51,10 +51,9 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class GridSample:
-    """Observations Y_j = X(mesh * j) over a box window of Z^d."""
+    """Observations Y_j over a box window of Z^d: nonempty and finite."""
 
     values: np.ndarray
-    mesh: float = 1.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -97,7 +96,8 @@ def _cp_sums(law: JumpLaw, sizes: np.ndarray, rng: np.random.Generator) -> np.nd
 
 def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
                  seeds: SeedSpec, rep: int = 0, mesh: float = 1.0) -> GridSample:
-    """Simulate Y_j = sum_k f_k W_{j - offset_k} on the given box window.
+    """Simulate Y_j = sum_k f_k W_{j - offset_k} on the given box window;
+    an integer mesh k > 1 observes every k-th lattice point, X(k j).
 
     All lattice cells touching window (-) offsets are drawn i.i.d. in
     row-major order, then combined by shifted slices, so the dependence
@@ -121,7 +121,7 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
         dilated = tuple((w - 1) * stride + 1 for w in window)
         full = sample_field(kernel, law, dilated, seeds, rep=rep, mesh=1.0)
         sub = full.values[tuple(slice(None, None, stride) for _ in window)]
-        return GridSample(sub.copy(), mesh=mesh)
+        return GridSample(sub.copy())
     off = kernel.offsets
     lo = off.min(axis=0)
     hi = off.max(axis=0)
@@ -137,7 +137,7 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
         sl = tuple(slice(int(s), int(s + w)) for s, w in zip(start, window))
         with np.errstate(over="ignore", invalid="ignore"):  # refused by GridSample
             out += fk * cells[sl]
-    return GridSample(out, mesh=mesh)
+    return GridSample(out)
 
 
 def write_sample_csv(sample: GridSample, path) -> None:

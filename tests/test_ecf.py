@@ -27,7 +27,7 @@ from levyfield.model import (
     forward_levy_density,
     fourier_g1_model,
 )
-from levyfield.simulate import SeedSpec, sample_field
+from levyfield.simulate import GridSample, SeedSpec, sample_field
 from levyfield.ecf import (
     EcfEstimate,
     calibrate_bound_constant,
@@ -47,13 +47,13 @@ class TestComputeEcf:
     def test_degenerate_zero_sample(self):
         # the type-1 NUFFT of sources at 0 rounds psi_hat only in its last bits
         grid = symmetric_grid(2.0, 21)
-        ecf = compute_ecf(np.zeros(10), grid)
+        ecf = compute_ecf(GridSample(np.zeros(10)), grid)
         assert np.max(np.abs(ecf.psi_hat - 1.0)) <= 1e-13
         assert np.all(ecf.theta_hat == 0.0)
 
     def test_single_observation(self):
         grid = symmetric_grid(2.0, 21)
-        ecf = compute_ecf(np.array([1.0]), grid)
+        ecf = compute_ecf(GridSample(np.array([1.0])), grid)
         u = grid.nodes()
         assert np.allclose(ecf.psi_hat, np.exp(1j * u), atol=1e-12)
         assert np.allclose(ecf.theta_hat, np.exp(1j * u), atol=1e-12)
@@ -61,7 +61,7 @@ class TestComputeEcf:
     def test_two_point_sample(self):
         # Y = {1, -1}: psi = cos u, theta = (e^{iu} - e^{-iu})/2 = i sin u
         grid = symmetric_grid(3.0, 31)
-        ecf = compute_ecf(np.array([1.0, -1.0]), grid)
+        ecf = compute_ecf(GridSample(np.array([1.0, -1.0])), grid)
         u = grid.nodes()
         assert np.allclose(ecf.psi_hat, np.cos(u), atol=1e-12)
         assert np.allclose(ecf.theta_hat, 1j * np.sin(u), atol=1e-12)
@@ -70,7 +70,7 @@ class TestComputeEcf:
         rng = np.random.default_rng(0)
         y = rng.normal(size=200)
         grid = symmetric_grid(5.0, 101)
-        ecf = compute_ecf(y, grid)
+        ecf = compute_ecf(GridSample(y), grid)
         mid = grid.n // 2
         assert ecf.psi_hat[mid] == 1.0
         assert ecf.theta_hat[mid] == y.mean()
@@ -78,7 +78,7 @@ class TestComputeEcf:
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(1)
         y = rng.exponential(size=300)
-        ecf = compute_ecf(y, symmetric_grid(4.0, 81))
+        ecf = compute_ecf(GridSample(y), symmetric_grid(4.0, 81))
         assert np.allclose(ecf.psi_hat, np.conj(ecf.psi_hat[::-1]), atol=1e-13)
         assert np.allclose(ecf.theta_hat, np.conj(ecf.theta_hat[::-1]), atol=1e-13)
 
@@ -86,7 +86,7 @@ class TestComputeEcf:
         rng = np.random.default_rng(2)
         y = rng.normal(size=500)
         grid = symmetric_grid(np.pi, 257)
-        ecf = compute_ecf(y, grid)
+        ecf = compute_ecf(GridSample(y), grid)
         pd, td = _direct_sum(np.stack([np.ones_like(y), y]), y, grid.nodes(), 1.0) / len(y)
         assert np.max(np.abs(ecf.psi_hat - pd)) < 1e-10
         assert np.max(np.abs(ecf.theta_hat - td)) < 1e-10
@@ -96,7 +96,7 @@ class TestComputeEcf:
         grid = symmetric_grid(np.pi * 40.72999468458327, 4095)
         assert grid.nodes()[grid.n // 2] != 0.0
         y = np.random.default_rng(4).normal(size=300)
-        ecf = compute_ecf(y, grid)
+        ecf = compute_ecf(GridSample(y), grid)
         assert ecf.psi_hat[grid.n // 2] == 1.0
         assert ecf.theta_hat[grid.n // 2] == y.mean()
 
@@ -105,12 +105,12 @@ class TestComputeEcf:
         monkeypatch.setattr(ecf_module, "_nufft_sum", None)  # a call would be a TypeError
         grid = Grid1D(-1.0, 2.0, 101) if asymmetric else symmetric_grid(2.0, 100)
         with pytest.raises(InvalidInputError, match="odd node count"):
-            compute_ecf(np.ones(10), grid)
+            compute_ecf(GridSample(np.ones(10)), grid)
 
     def test_half_grid_takes_the_fast_path(self, no_direct_sum):
         # the values are pinned by test_fast_path_matches_direct_exponentials
         y = np.random.default_rng(6).normal(size=2000)
-        assert compute_ecf(y, symmetric_grid(np.pi, 4097)).psi_hat.shape == (4097,)
+        assert compute_ecf(GridSample(y), symmetric_grid(np.pi, 4097)).psi_hat.shape == (4097,)
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
@@ -123,11 +123,11 @@ class TestComputeEcf:
     @example(n_obs=3000, kind="tails", scale=200.0, seed=1, du=1e-3, half=1, sign=-1.0)
     @settings(max_examples=30, deadline=None)
     def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, du, half, sign):
-        # the type-1 path: the ECF rows 1 and Y, each over N, on 2 half + parity
-        # targets from u = 0 (even counts from 2 for parity 0, odd from 3
-        # for 1), the ECF half-grid.  The Y row rounds at the scale of max |Y|
-        # in both paths, so it is compared at that scale, the row of ones at
-        # scale 1
+        # the type-1 path: the ECF's sums of 1 and Y, each over N, on
+        # 2 half + parity targets from u = 0 (even counts from 2 for parity 0,
+        # odd from 3 for 1), the ECF half-grid.  The Y sum rounds at the scale
+        # of max |Y| in both paths, so it is compared at that scale, the sum
+        # of ones at scale 1
         rng = np.random.default_rng(seed)
         if kind == "zeros":
             y = np.zeros(n_obs)
@@ -136,10 +136,9 @@ class TestComputeEcf:
         else:
             y = np.clip(rng.laplace(scale=scale, size=n_obs), -1e3, 1e3)
             y[0] = 1e3
-        rows = np.stack([np.ones_like(y), y]) / n_obs
         u = du * np.arange(2 * half + parity)
-        fast = grids._nufft_sum(rows, y, du, len(u), sign)
-        ref = _direct_sum(rows, y, u, sign)
+        fast = grids._nufft_sum(y, du, len(u), sign) / n_obs
+        ref = _direct_sum(np.stack([np.ones_like(y), y]) / n_obs, y, u, sign)
         err = np.max(np.abs(fast - ref), axis=1)
         assert err[0] <= 1e-10
         assert err[1] <= 1e-10 * max(1.0, np.max(np.abs(y)))
@@ -250,12 +249,12 @@ class TestFourierG1Hat:
 
 class TestG1Hat:
     def test_zero_sample(self):
-        ecf = stabilize(compute_ecf(np.zeros(100), symmetric_grid(np.pi, 101)))
+        ecf = stabilize(compute_ecf(GridSample(np.zeros(100)), symmetric_grid(np.pi, 101)))
         out = g1_hat_at(ecf, 1.0, np.linspace(-2, 2, 51))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_coverage_error(self):
-        ecf = stabilize(compute_ecf(np.ones(10), symmetric_grid(1.0, 51)))
+        ecf = stabilize(compute_ecf(GridSample(np.ones(10)), symmetric_grid(1.0, 51)))
         with pytest.raises(CoverageError):
             g1_hat_at(ecf, 2.0, np.linspace(-1, 1, 21))
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfield import invert
-from levyfield.config import ExperimentConfig
+from levyfield import bench, invert
+from levyfield.config import ExperimentConfig, section7_config
 from levyfield.errors import BoundInapplicableError, CoverageError, ResourceLimitError
-from levyfield.grids import GridFunction, l2_norm, symmetric_grid
+from levyfield.grids import Grid1D, GridFunction, l2_norm, symmetric_grid
 from levyfield.model import SimpleKernel, WeightH, e_factor, forward_g_transform
 from levyfield.invert import (
     build_series_plan,
@@ -324,6 +324,36 @@ class TestFourierEstimate:
         with pytest.raises(CoverageError):
             # head term needs arguments up to pi*l/1.3 > pi for l = 2
             fourier_estimate(fg1, bench_kernel, 1, 1, 2.0, symmetric_grid(2.0, 65))
+
+    @pytest.mark.parametrize("case", ["65-node F[g1]", "gaussian", "exponential",
+                                      "kernel 0.6 0.2 0.1"])
+    def test_reads_a_restriction_of_the_g1_grid(self, monkeypatch, case):
+        # the spectral series lives on the nodes of F[g1]'s own grid with
+        # |u| <= pi l: no u-grid of its own, no upsampling
+        seen = []
+        inverse = invert.fourier_inverse_truncated
+
+        def spy(F, x_grid):
+            seen.append(F.grid)
+            return inverse(F, x_grid)
+
+        monkeypatch.setattr(invert, "fourier_inverse_truncated", spy)
+        if case == "65-node F[g1]":
+            u = symmetric_grid(np.pi, 65)
+            fg1 = GridFunction(u, 1j * u.nodes() * np.exp(-0.5 * u.nodes() ** 2))
+            fourier_estimate(fg1, kernel_1d([1.0]), 1, 1, 1.0, symmetric_grid(5.0, 129))
+            assert seen == [u]
+            return
+        law, over = (case, {}) if case in ("gaussian", "exponential") else ("gaussian", {
+            "kernel": {"coeffs": [0.6, 0.2, 0.1], "offsets": [[0, 0], [1, 0], [0, 1]]}})
+        cfg = section7_config(law, "fourier", window=[30, 30], **over)
+        u = bench._u_grid(cfg, cfg.kernel_obj()).nodes()
+        kept = u[np.abs(u) <= np.pi * cfg.l * (1 + 1e-12)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bench.run_pipeline(cfg, 0)
+        assert seen == [Grid1D(kept[0], kept[-1], len(kept))]
+        assert seen[0].n == bench._N_U
 
     def test_condition_warning(self, h_linear):
         # beta = 0 gives e(f, |.|^{1/2}) = count of non-pivot terms / n1 >= 1;

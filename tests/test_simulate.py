@@ -118,10 +118,22 @@ class TestSampleField:
     def test_integer_mesh_subsamples_the_lattice(self, bench_kernel, gaussian_law):
         full = sample_field(bench_kernel, gaussian_law, (21, 21), SeedSpec(8))
         coarse = sample_field(bench_kernel, gaussian_law, (11, 11), SeedSpec(8), mesh=2.0)
-        assert coarse.window == (11, 11) and coarse.mesh == 2.0
+        assert coarse.window == (11, 11)
         assert np.array_equal(coarse.values, full.values[::2, ::2])
         with pytest.raises(InvalidInputError):
             sample_field(bench_kernel, gaussian_law, (5, 5), SeedSpec(8), mesh=0.5)
+
+
+class TestGridSample:
+    # the ECF's only input guard: every sample it reads is a GridSample
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(InvalidInputError, match="^sample contains non-finite values$"):
+            GridSample(np.array([[0.0, 1.0], [bad, 2.0]]))
+
+    def test_empty_window_refused(self):
+        with pytest.raises(InvalidInputError, match="at least one point"):
+            GridSample(np.zeros((0, 3)))
 
 
 class TestSampleCsv:
