@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per group of fixed pipeline runs, over the bytes of
 their estimates and MSEs (and, for the CLI group, of the sample and
-estimate CSVs).
+estimate CSVs), and the MSEs of one group whose bits may move.
 
 Two trees that print the same lines produce byte-identical estimates on
 every group.  The script uses only levyfield's public API, so it runs
@@ -22,7 +22,13 @@ Groups:
   exact g1, for every method;
 - the six cells with ``grid_points`` = 8 and ``"bandwidth": "auto"``;
 - the six cells with the kernel coefficients [0.6, 0.2, 0.1], whose
-  smallest series scale, 0.6, widens the Fourier method's u-grid.
+  smallest series scale, 0.6, widens the Fourier method's u-grid;
+- a deep, mixed-sign series: n_N = 3 and the coefficients
+  [2.0, -0.7, 0.3, 0.3] on the benchmark offsets, a 60x60 window, both
+  laws, plain and with the exact g1.  Its plug-in runs print a sha256;
+  its Fourier runs print their MSEs to 17 digits, since their spectral
+  weights are coefficient/|scale| of the series table, which may round
+  differently from a closed formula of another tree.
 """
 
 import contextlib
@@ -53,6 +59,18 @@ def _pipeline_digest(runs) -> str:
         h.update(out.estimate.values.tobytes())
         h.update(np.float64(out.mse).tobytes())
     return h.hexdigest()
+
+
+def _mses(runs) -> str:
+    """The MSE of each (config, rep), to 17 significant digits."""
+    return " ".join(f"{run_pipeline(cfg, rep).mse:.17g}" for cfg, rep in runs)
+
+
+def _deep_runs(method: str):
+    kernel = {**ExperimentConfig().kernel, "coeffs": [2.0, -0.7, 0.3, 0.3]}
+    return [(section7_config(law, method, window=[60, 60], n_N=3, kernel=kernel,
+                             oracle_g1=oracle), 0)
+            for law in LAWS for oracle in (False, True)]
 
 
 def _cli_digest() -> str:
@@ -88,7 +106,7 @@ def _tabulated_runs(n: int):
 
 
 def groups():
-    """(name, zero-argument digest function) per group, in print order."""
+    """(name, zero-argument function returning the line) per group, in print order."""
     small_kernel = {"coeffs": [0.6, 0.2, 0.1], "offsets": [[0, 0], [1, 0], [0, 1]]}
     return [
         ("section7 reps 0-3", lambda: _pipeline_digest(
@@ -106,6 +124,8 @@ def groups():
             for law, method in CELLS)),
         ("kernel 0.6 0.2 0.1", lambda: _pipeline_digest(
             (section7_config(law, method, kernel=small_kernel), 0) for law, method in CELLS)),
+        ("deep mixed-sign plugin", lambda: _pipeline_digest(_deep_runs("plugin"))),
+        ("deep mixed-sign fourier MSEs", lambda: _mses(_deep_runs("fourier"))),
     ]
 
 

@@ -230,7 +230,7 @@ def _u_grid(cfg: ExperimentConfig, kernel: SimpleKernel) -> Grid1D:
     :func:`invert.fourier_estimate` reads F[g1]."""
     half = n_half = _N_U // 2
     if cfg.method == "fourier":
-        rows = build_series_plan(kernel, _WEIGHT, int(cfg.n_N)).spectral_terms(_WEIGHT.beta)
+        rows = build_series_plan(kernel, _WEIGHT, int(cfg.n_N)).grouped_terms()
         n_half = half / min(1.0, *(abs(scale) for scale, _ in rows))
         _check_budget(2 * n_half + 1, "u-grid nodes")
         n_half = math.ceil(n_half)

@@ -2,16 +2,17 @@
 fixed-point series, the plug-in and Fourier-method estimators and their
 error bounds.
 
-The fixed-point series for the weighted density g0 = h v0 reads
+The fixed-point series for the weighted density g0 = h v0 is one table
+of (scale, coefficient) rows, g0(x) = sum_t c_t g1(s_t x), over depths
+j >= 0 and multi-indices i_1..i_j not in Q (P = f_{i1}..f_{ij}):
 
-    g0(x) = (|f1|/n1) (h(x)/h(f1 x)) g1(f1 x)
-          + sum_{j>=1} (-1)^j sum_{i_1,..,i_j not in Q}
-            ((|f1|/n1)^{j+1} / |f_{i1}..f_{ij}|)
-            (h(x)/h(scale x)) g1(scale x),   scale = f1^{j+1}/(f_{i1}..f_{ij}).
+    s_t = f1^{j+1} / P,   c_t = (-1)^j ((|f1|/n1)^{j+1} / |P|) h(x)/h(s_t x).
 
-Raw enumeration is exponential in the depth; terms are grouped by the
-multiset of non-pivot coefficient values with multinomial multiplicities,
-which is polynomial in the depth and exact.
+The plug-in method sums it directly, and the Fourier method sums its
+transform F[g0](u) = sum_t (c_t/|s_t|) F[g1](u/s_t).  Raw enumeration is
+exponential in the depth; terms are grouped by the multiset of non-pivot
+coefficient values with multinomial multiplicities, which is polynomial
+in the depth and exact.
 """
 
 from __future__ import annotations
@@ -83,49 +84,48 @@ class SeriesTerm:
     count: float
     multiplicities: tuple = ()
 
-    def scale(self, pivot: float) -> float:
-        return pivot ** (self.depth + 1) / self.product
-
 
 @dataclass(frozen=True)
 class SeriesPlan:
-    """Grouped truncation of the fixed-point series up to depth n_N."""
+    """Grouped truncation of the fixed-point series up to depth n_N, with the
+    contraction factors e(f, h) and e(f, |.|^(beta+1/2)) at its pivot."""
 
     pivot_value: float
     n1: int
     h: WeightH
     n_trunc: int
+    e: float
+    e_spectral: float
     values: tuple = ()
     terms: tuple = field(default=(), repr=False)
 
+    @np.errstate(all="ignore")
     def grouped_terms(self):
-        """(scale, weight, sign, depth) rows of the series.
-
-        ``weight`` is the nonnegative magnitude factor of the raw series,
-        multiplicity included: count * (|f1|/n1)^{depth+1} / |product|.
-        Consumers multiply by sign and by the h-ratio h(x)/h(scale x).
-        """
+        """The series table: one (scale, coefficient) row per term of
+        ``terms``, its count times the module docstring's s_t and c_t,
+        computed when read.  A scale that is 0 or not finite, or a
+        coefficient that is not finite, raises InvalidInputError."""
+        f1 = np.float64(self.pivot_value)
         rows = []
         for t in self.terms:
-            scale = t.scale(self.pivot_value)
+            scale = float(f1 ** (t.depth + 1) / t.product)
+            if scale == 0 or not math.isfinite(scale):
+                raise InvalidInputError(f"a series scale f1^{t.depth + 1}/product is "
+                                        f"{scale:.6g}, not a finite nonzero number")
             sign = -1.0 if t.depth % 2 else 1.0
-            w = t.count * (abs(self.pivot_value) / self.n1) ** (t.depth + 1) / abs(t.product)
-            rows.append((scale, w, sign, t.depth))
+            coef = float(sign * t.count * (abs(f1) / self.n1) ** (t.depth + 1)
+                         / abs(t.product)) * self.h.ratio(scale)
+            if not math.isfinite(coef):
+                raise InvalidInputError(f"a series coefficient at depth {t.depth} is {coef:.6g}")
+            rows.append((scale, coef))
         return rows
 
     def spectral_terms(self, beta: int):
-        """(scale, weight) rows for assembling F[g0] from F[g1]:
-        the term reads weight * F[g1](u / scale)."""
-        rows = []
-        for t in self.terms:
-            scale = t.scale(self.pivot_value)
-            if scale == 0:
-                raise InvalidInputError("a series scale f1^(j+1)/product underflows to 0")
-            sign = -1.0 if t.depth % 2 else 1.0
-            w = sign * t.count * (np.sign(scale) ** beta) * abs(scale) ** (-beta) \
-                / self.n1 ** (t.depth + 1)
-            rows.append((scale, w))
-        return rows
+        """The table's Fourier view: (scale, coefficient/|scale|) per row, the
+        term reading weight * F[g1](u / scale).  The plan's h must be x^beta."""
+        if self.h != WeightH(beta=beta, signed=True):
+            raise InvalidInputError(f"the plan's weight is {self.h}, not x^{beta}")
+        return [(scale, coef / abs(scale)) for scale, coef in self.grouped_terms()]
 
 
 def _compositions(total: int, parts: int):
@@ -139,7 +139,8 @@ def _compositions(total: int, parts: int):
 
 
 def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesPlan:
-    """Group the raw multi-index series by multisets of non-pivot values.
+    """Group the raw multi-index series by multisets of non-pivot values,
+    into a plan whose (scale, coefficient) table :meth:`SeriesPlan.grouped_terms` reads.
 
     Term count is sum_j C(j + g - 1, g - 1) with g the number of distinct
     non-pivot values, versus (n - n1)^j raw tuples; a plan of more than
@@ -152,23 +153,20 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
     """
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
-    plan, e, _ = _series_plan(kernel, h, n_trunc)
-    if e >= 1.0:
+    plan = _series_plan(kernel, h, n_trunc)
+    if plan.e >= 1.0:
         warnings.warn(
-            f"contraction factor e = {e:.6g} >= 1; the series need not converge",
+            f"contraction factor e = {plan.e:.6g} >= 1; the series need not converge",
             RuntimeWarning,
         )
     return plan
 
 
 @functools.lru_cache(maxsize=_KEEP)
-def _series_plan(kernel: SimpleKernel, h: WeightH,
-                 n_trunc: int) -> tuple[SeriesPlan, float, float]:
-    """The plan of :func:`build_series_plan`, the contraction factor e(f, h)
-    and e(f, |.|^(beta+1/2)), the Fourier method's condition, at its pivot."""
+@np.errstate(over="ignore")  # a product out of range is 0 or inf, which the table refuses
+def _series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesPlan:
+    """The plan of :func:`build_series_plan`."""
     pivot, q_idx, n1 = kernel.pivot_info(h)
-    e = e_factor(kernel, h, pivot)
-    e_spectral = e_factor(kernel, WeightH(beta=h.beta + 0.5), pivot)
     # distinct non-pivot values with multiplicities
     values = []
     counts = []
@@ -193,11 +191,13 @@ def _series_plan(kernel: SimpleKernel, h: WeightH,
                 for mt, vt, ct in zip(m, values, counts):
                     count //= math.factorial(mt)
                     count *= ct ** mt
-                    prod *= vt ** mt
-                terms.append(SeriesTerm(depth=j, product=prod, count=float(count),
+                    prod *= np.float64(vt) ** mt
+                terms.append(SeriesTerm(depth=j, product=float(prod), count=float(count),
                                         multiplicities=tuple(m)))
     return SeriesPlan(pivot_value=pivot, n1=n1, h=h, n_trunc=n_trunc,
-                      values=tuple(values), terms=tuple(terms)), e, e_spectral
+                      e=e_factor(kernel, h, pivot),
+                      e_spectral=e_factor(kernel, WeightH(beta=h.beta + 0.5), pivot),
+                      values=tuple(values), terms=tuple(terms))
 
 
 def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
@@ -211,17 +211,16 @@ def plugin_estimate(g1_eval, kernel: SimpleKernel, h: WeightH, n_trunc: int,
     evaluated by one transform shares it across terms while the points of
     one call stay bounded whatever the series depth.
     """
-    plan = build_series_plan(kernel, h, n_trunc)
     x = x_grid.nodes()
-    rows = plan.grouped_terms()
+    rows = build_series_plan(kernel, h, n_trunc).grouped_terms()
     per_call = max(1, _G1_CALL_POINTS // len(x))
     out = np.zeros(len(x))
     for start in range(0, len(rows), per_call):
         chunk = rows[start:start + per_call]
-        g1 = np.asarray(g1_eval(np.concatenate([scale * x for scale, *_ in chunk])),
+        g1 = np.asarray(g1_eval(np.concatenate([scale * x for scale, _ in chunk])),
                         dtype=float)
-        for (scale, w, sign, _depth), g1_scaled in zip(chunk, g1.reshape(len(chunk), len(x))):
-            out += sign * w * h.ratio(scale) * g1_scaled
+        for (_, coef), g1_scaled in zip(chunk, g1.reshape(len(chunk), len(x))):
+            out += coef * g1_scaled
     return GridFunction(x_grid, out)
 
 
@@ -246,21 +245,17 @@ def fourier_estimate(fg1_hat: GridFunction, kernel: SimpleKernel, beta: int,
     """Spectral-domain inversion: assemble the F[g0] estimate on F[g1]'s
     grid restricted to |u| <= pi l, as g1_hat_at restricts it, from F[g1]
     at scaled arguments (up to pi l / min|scale|, which the grid must
-    reach), then apply the truncated inverse transform.
+    reach), then apply the truncated inverse transform.  The rows are the
+    plan's :meth:`SeriesPlan.spectral_terms`.
 
-    Requires h(x) = x^beta with integer beta.  The sufficient condition
-    e(f, |.|^{beta+1/2}) < 1 is checked and reported as a warning when
-    violated.
+    Requires h(x) = x^beta with integer beta >= 0 (WeightH refuses others).
+    The sufficient condition e(f, |.|^{beta+1/2}) < 1 is checked and
+    reported as a warning when violated.
     """
-    if beta != int(beta) or beta < 0:
-        raise InvalidInputError("the Fourier method needs integer beta >= 0")
-    beta = int(beta)
-    h = WeightH(beta=beta, signed=True)
-    plan = build_series_plan(kernel, h, n_trunc)
-    _, _, e_cond = _series_plan(kernel, h, n_trunc)
-    if e_cond >= 1.0:
+    plan = build_series_plan(kernel, WeightH(beta=beta, signed=True), n_trunc)
+    if plan.e_spectral >= 1.0:
         warnings.warn(
-            f"e(f, |.|^(beta+1/2)) = {e_cond:.6g} >= 1; the spectral series "
+            f"e(f, |.|^(beta+1/2)) = {plan.e_spectral:.6g} >= 1; the spectral series "
             "need not converge", RuntimeWarning,
         )
     rows = plan.spectral_terms(beta)
@@ -290,10 +285,8 @@ def fourier_error_bound(kernel: SimpleKernel, beta: int, n_trunc: int, l: float,
     with s_k = (|f_k|/|f1|)^beta and e_F = (1/n1) sum s_k.
     ``err_of_cutoff`` maps a cutoff to the corresponding g1 error norm.
     """
-    h = WeightH(beta=beta, signed=True)
-    plan = build_series_plan(kernel, h, n_trunc)
-    f1, n1 = plan.pivot_value, plan.n1
-    e_cond = e_factor(kernel, WeightH(beta=beta + 0.5), f1)
+    plan = build_series_plan(kernel, WeightH(beta=beta, signed=True), n_trunc)
+    f1, n1, e_cond = plan.pivot_value, plan.n1, plan.e_spectral
     if e_cond >= 1.0:
         raise BoundInapplicableError(
             f"bound requires e(f,|.|^(beta+1/2)) < 1, got {e_cond}"

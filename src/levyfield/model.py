@@ -214,10 +214,14 @@ class WeightH:
             raise InvalidInputError("signed weights x^beta need integer beta")
 
     def ratio(self, c: float) -> float:
-        """h(x) / h(c x), which is constant in x for power weights."""
+        """h(x) / h(c x), which is constant in x for power weights; c = 0 and
+        a ratio that overflows raise InvalidInputError."""
         if c == 0:
             raise InvalidInputError("scaling by zero")
-        out = abs(c) ** (-self.beta)
+        try:
+            out = abs(c) ** (-self.beta)
+        except OverflowError:
+            raise InvalidInputError(f"the weight ratio h(x)/h({c:.6g} x) overflows") from None
         if self.signed and (int(round(self.beta)) % 2 == 1) and c < 0:
             out = -out
         return out

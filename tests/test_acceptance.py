@@ -115,8 +115,8 @@ def test_criterion_4_series_grouping_equivalence():
             plan = build_series_plan(kernel, h, depth)
         values = np.asarray(plan.values, dtype=float)
         grouped = {}
-        for term, (scale, w, sign, d) in zip(plan.terms, plan.grouped_terms()):
-            grouped[(d, term.multiplicities)] = sign * w * h.ratio(scale)
+        for term, (_, c) in zip(plan.terms, plan.grouped_terms()):
+            grouped[(term.depth, term.multiplicities)] = c
         raw = {}
         others = [kernel.coeffs[k] for k in range(n) if k not in q_idx]
         raw[(0, (0,) * len(values))] = (abs(pivot) / n1) * h.ratio(pivot)

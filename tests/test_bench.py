@@ -627,16 +627,26 @@ class TestCli:
         if code == 3:
             assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("method,coeffs", [
-        ("fourier", [1e-200, 0.5e-200]),  # f1^2 underflows, so a series scale is 0
-        ("plugin", [1e-200, 0.5e-200]),
-        ("fourier", [1e-5, 0.9e-5]),      # min|scale| 1.1e-5 asks for a 3.7e8-node u-grid
-    ], ids=["zero-scale-fourier", "zero-scale-plugin", "u-grid-budget"])
-    def test_small_series_scale_exit_code(self, tmp_path, method, coeffs):
-        cfg_path = self._write_cfg(tmp_path, method=method, reps=1,
+    @pytest.mark.parametrize("method,coeffs,n_N,oracle_g1", [
+        ("fourier", [1e-200, 0.5e-200], 1, False),  # f1^2 underflows, so a series scale is 0
+        ("plugin", [1e-200, 0.5e-200], 1, False),
+        ("fourier", [1e-5, 0.9e-5], 1, False),      # min|scale| 1.1e-5 asks for a 3.7e8-node u-grid
+        ("plugin", [1.0, 1e-200], 2, False),        # the depth-2 product underflows to 0
+        ("fourier", [1e300, 1.0], 1, False),        # f1^2 overflows
+        ("fourier", [1e-310, 1e-311], 1, False),    # the weight |scale|^-beta overflows
+        ("plugin", [1e200, 1e199], 2, True),        # f1^2 and the depth-2 product overflow
+        ("onb", [1e-310, 1e-311], 1, False),        # h(x)/h(f1 x) overflows
+    ], ids=["zero-scale-fourier", "zero-scale-plugin", "u-grid-budget", "zero-product",
+            "overflowing-scale", "overflowing-spectral-weight", "overflowing-product",
+            "overflowing-weight-ratio"])
+    def test_small_series_scale_exit_code(self, tmp_path, capsys, method, coeffs, n_N,
+                                          oracle_g1):
+        cfg_path = self._write_cfg(tmp_path, method=method, reps=1, n_N=n_N,
+                                   oracle_g1=oracle_g1,
                                    kernel={"coeffs": coeffs, "offsets": [[0, 0], [1, 0]]})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("coeffs,reach", [([1.3, 0.2, 0.1, 0.1], np.pi),
                                               ([0.65, 0.1, 0.05, 0.05], np.pi / 0.65)])

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from levyfield import bench, invert
 from levyfield.config import ExperimentConfig, section7_config
-from levyfield.errors import BoundInapplicableError, CoverageError, ResourceLimitError
+from levyfield.errors import (
+    BoundInapplicableError,
+    CoverageError,
+    InvalidInputError,
+    ResourceLimitError,
+)
 from levyfield.grids import Grid1D, GridFunction, l2_norm, symmetric_grid
 from levyfield.model import SimpleKernel, WeightH, e_factor, forward_g_transform
 from levyfield.invert import (
@@ -62,11 +67,9 @@ def raw_series_coefficients(kernel, h, n_trunc, pivot, values):
     return coefs
 
 
-def plan_coefficients(plan, h):
-    coefs = {}
-    for term, (scale, w, sign, depth) in zip(plan.terms, plan.grouped_terms()):
-        coefs[(depth, term.multiplicities)] = sign * w * h.ratio(scale)
-    return coefs
+def plan_coefficients(plan):
+    return {(term.depth, term.multiplicities): c
+            for term, (_, c) in zip(plan.terms, plan.grouped_terms())}
 
 
 def assert_coefficient_maps_match(raw, grouped, rtol=1e-14):
@@ -114,14 +117,14 @@ class TestSeriesPlan:
         plan = build_series_plan(bench_kernel, h_linear, 0)
         rows = plan.grouped_terms()
         assert len(rows) == 1
-        scale, w, sign, depth = rows[0]
-        assert scale == 1.3 and sign == 1.0 and depth == 0
-        assert w == pytest.approx(abs(1.3) / 1)
+        scale, c = rows[0]
+        assert scale == 1.3 and plan.terms[0].depth == 0
+        assert c == pytest.approx(abs(1.3) / 1 * h_linear.ratio(1.3))
 
     def test_bench_kernel_depth2_equals_raw_twelve_terms(self, bench_kernel, h_linear):
         plan = build_series_plan(bench_kernel, h_linear, 2)
         raw = raw_series_coefficients(bench_kernel, h_linear, 2, 1.3, plan.values)
-        assert_coefficient_maps_match(raw, plan_coefficients(plan, h_linear))
+        assert_coefficient_maps_match(raw, plan_coefficients(plan))
         # raw enumeration size: 3^1 + 3^2 = 12 multi-indices
         n_raw = 3 + 9
         assert n_raw == 12
@@ -133,7 +136,7 @@ class TestSeriesPlan:
         # two distinct non-pivot values: sum_{j<=6} (j+1) = 27 compositions
         assert len(grouped) == 27
         raw = raw_series_coefficients(k, h_linear, 6, 2.0, plan.values)
-        assert_coefficient_maps_match(raw, plan_coefficients(plan, h_linear))
+        assert_coefficient_maps_match(raw, plan_coefficients(plan))
 
     def test_term_budget(self, h_linear):
         # four non-pivot values to depth 50 need 316250 grouped terms
@@ -182,7 +185,68 @@ class TestSeriesPlan:
             warnings.simplefilter("ignore")
             plan = build_series_plan(k, h, n_trunc)
         raw = raw_series_coefficients(k, h, n_trunc, pivot, plan.values)
-        assert_coefficient_maps_match(raw, plan_coefficients(plan, h))
+        assert_coefficient_maps_match(raw, plan_coefficients(plan))
+
+    def test_spectral_view_matches_closed_formula(self):
+        # criterion 4's random kernels with a signed integer beta: the Fourier
+        # weight coefficient/|scale| against its closed form
+        # (-1)^d count sgn(s)^beta |s|^-beta / n1^(d+1)
+        rng = np.random.default_rng(20260811)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            coeffs = np.round(rng.uniform(0.2, 2.5, n) * rng.choice([-1, 1], n), 3)
+            beta = int(rng.choice([0, 1, 2]))
+            n_trunc = int(rng.integers(0, 7))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                plan = build_series_plan(kernel_1d(coeffs), WeightH(beta=beta, signed=True),
+                                         n_trunc)
+            table, rows = plan.grouped_terms(), plan.spectral_terms(beta)
+            assert len(rows) == len(table) == len(plan.terms)
+            for t, (scale, w), (table_scale, _) in zip(plan.terms, rows, table):
+                assert scale == table_scale == plan.pivot_value ** (t.depth + 1) / t.product
+                closed = ((-1.0) ** t.depth * t.count * np.sign(scale) ** beta
+                          * abs(scale) ** (-beta) / plan.n1 ** (t.depth + 1))
+                assert w == pytest.approx(closed, rel=1e-15, abs=0)
+
+    def test_spectral_view_refuses_another_weight(self, bench_kernel, h_linear):
+        plan = build_series_plan(bench_kernel, h_linear, 1)
+        for beta in (0, 2):
+            with pytest.raises(InvalidInputError, match="weight"):
+                plan.spectral_terms(beta)
+        assert len(plan.spectral_terms(1)) == len(plan.terms)
+        unsigned = build_series_plan(bench_kernel, WeightH(beta=1.0), 1)
+        with pytest.raises(InvalidInputError, match="weight"):
+            unsigned.spectral_terms(1)
+
+    @pytest.mark.parametrize("coeffs,n_trunc,match", [
+        ([1e-200, 1e-201], 1, r"f1\^2/product is 0,"),    # f1^2 underflows to 0
+        ([1.0, 1e-200], 2, r"f1\^3/product is inf,"),     # the depth-2 product underflows to 0
+        ([1e300, 1.0], 1, r"f1\^2/product is inf,"),      # f1^2 overflows
+    ], ids=["zero-scale", "zero-product", "overflowing-scale"])
+    def test_table_refuses_a_scale_out_of_range(self, h_linear, coeffs, n_trunc, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = build_series_plan(kernel_1d(coeffs), h_linear, n_trunc)
+        with pytest.raises(InvalidInputError, match=match):
+            plan.grouped_terms()
+
+    def test_table_refuses_a_coefficient_that_overflows(self, h_linear):
+        # scale 1/0.5 = 2 is fine, the coefficient -1e308 / 0.5 is -inf
+        plan = invert.SeriesPlan(pivot_value=1.0, n1=1, h=h_linear, n_trunc=1, e=0.0,
+                                 e_spectral=0.0, terms=(invert.SeriesTerm(1, 0.5, 1e308),))
+        with pytest.raises(InvalidInputError, match="coefficient at depth 1 is -inf"):
+            plan.grouped_terms()
+
+    @pytest.mark.parametrize("beta", [0, 1, 2])
+    def test_plan_carries_contraction_factors(self, bench_kernel, beta):
+        h = WeightH(beta=beta, signed=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = build_series_plan(bench_kernel, h, 2)
+        assert plan.e == e_factor(bench_kernel, h, plan.pivot_value)
+        assert plan.e_spectral == e_factor(bench_kernel, WeightH(beta=beta + 0.5),
+                                           plan.pivot_value)
 
 
 class TestPluginEstimate:
@@ -239,8 +303,8 @@ class TestPluginEstimate:
         # the per-term loop, one g1 call per series term
         x = grid.nodes()
         loop = np.zeros(grid.n)
-        for scale, w, sign, _depth in rows:
-            loop += sign * w * h_linear.ratio(scale) * g1(scale * x)
+        for scale, c in rows:
+            loop += c * g1(scale * x)
         assert np.array_equal(est.values, loop)
 
     def test_deep_plan_bounds_points_per_g1_call(self, bench_kernel, h_linear):
@@ -262,8 +326,8 @@ class TestPluginEstimate:
         assert max(calls) <= invert._G1_CALL_POINTS
         x = grid.nodes()
         loop = np.zeros(grid.n)
-        for scale, w, sign, _depth in rows:
-            loop += sign * w * h_linear.ratio(scale) * g0_gauss(scale * x)
+        for scale, c in rows:
+            loop += c * g0_gauss(scale * x)
         assert np.array_equal(est.values, loop)
 
 
@@ -354,6 +418,13 @@ class TestFourierEstimate:
             bench.run_pipeline(cfg, 0)
         assert seen == [Grid1D(kept[0], kept[-1], len(kept))]
         assert seen[0].n == bench._N_U
+
+    @pytest.mark.parametrize("beta", [0.5, -1])
+    def test_refuses_beta_not_a_nonnegative_integer(self, beta):
+        u = symmetric_grid(np.pi, 65)
+        fg1 = GridFunction(u, np.zeros(65, dtype=complex))
+        with pytest.raises(InvalidInputError, match="beta"):
+            fourier_estimate(fg1, kernel_1d([1.0]), beta, 1, 1.0, symmetric_grid(2.0, 65))
 
     def test_condition_warning(self, h_linear):
         # beta = 0 gives e(f, |.|^{1/2}) = count of non-pivot terms / n1 >= 1;

@@ -139,6 +139,11 @@ class TestWeightH:
         h = WeightH(beta=0.0)
         assert h.ratio(5.0) == 1.0
 
+    def test_ratio_that_overflows_is_refused(self):
+        # |1e-310|^-1 = 1e310 is past the largest float
+        with pytest.raises(InvalidInputError, match="overflows"):
+            WeightH(1.0).ratio(1e-310)
+
 
 class TestForwardMaps:
     def test_levy_density_bench_display(self, bench_kernel, gaussian_law):
