@@ -21,9 +21,8 @@ the direct O(n*m) sum :func:`_direct_sum` to about 1e-13 of
 sum_j |c_j|; the direct sum is the tests' reference, and they pin 1e-10.
 The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
 targets, the plan that depends only on the source grid and the targets
-(:func:`_interp_plan`): 212 bytes per target, so at most 3.5 MB per plan
-and 28 MB for the _KEEP plans kept, at any grid size; building one
-imports scipy.sparse, which nothing else in the package loads.
+(:func:`_interp_plan`): 272 bytes per target, so at most 4.5 MB per plan
+and 36 MB for the _KEEP plans kept, at any grid size.
 Every spectral method reads F[g1] on one grid, the ECF's u-grid
 restricted to |u| <= pi l (:func:`_restrict_symmetric`).
 Convolution is one FFT product (:func:`convolve`) of a 5-smooth length
@@ -64,7 +63,7 @@ _MAX_CELLS = 50_000_000
 _ES_WIDTH = 16
 # sources spread per pass of the type-1 NUFFT, and targets per plan of the
 # type-2 NUFFT; bounds the type-1 per-tap scratch at under 1 MB and a type-2
-# plan at 3.5 MB, while each numpy call still covers many points
+# plan at 4.5 MB, while each numpy call still covers many points
 _SPREAD_BLOCK = 1 << 14
 # Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
 # adjacent doubles lie a whole grid point apart, so no offset between taps is left
@@ -269,15 +268,11 @@ def _nufft_sum(y: np.ndarray, du: float, n_u: int, sign: float) -> np.ndarray:
 @functools.lru_cache(maxsize=_KEEP)
 def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     """The interpolation plan of :func:`phase_sum` for sources on x and
-    the targets u (float64 bytes, at most _SPREAD_BLOCK of them): a
-    read-only csr_matrix of len(u) rows and m_r columns whose row k holds the
-    kernel weights of target k at its _ES_WIDTH taps, in tap order, and the
-    centring phase e^{i s u x_c} (None when x_c = 0), kept as _KEEP says.
-
-    scipy.sparse is imported here, when a plan is built: its csr product
-    gathers the taps faster than numpy indexing does."""
-    from scipy.sparse import csr_matrix
-
+    the targets u (float64 bytes, at most _SPREAD_BLOCK of them): the
+    fine-grid columns of the _ES_WIDTH taps of each target and their kernel
+    weights, two tap-major (_ES_WIDTH, len(u)) arrays, and the centring
+    phase e^{i s u x_c} (None when x_c = 0); all read-only, kept as _KEEP
+    says."""
     u = np.frombuffer(targets)
     c = x.n // 2
     m_r, _ = _fine_grid(max(c, x.n - 1 - c))
@@ -286,20 +281,20 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     # nodes floor(t_k) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r)
     with np.errstate(over="ignore"):  # an infinite position is refused below
         t = u * (sign * x.spacing * m_r / (2 * np.pi))
-    node = _tap_nodes(t, m_r).astype(np.int32)
-    offsets = np.arange(1 - half, half + 1, dtype=np.int32)
-    cols = np.add.outer(node, offsets)
+    node = _tap_nodes(t, m_r)
+    offsets = np.arange(1 - half, half + 1, dtype=np.intp)
+    cols = np.add.outer(offsets, node)
     cols &= m_r - 1
-    weights = _es_kernel(np.subtract.outer(t, offsets / half))
-    plan = csr_matrix((weights.ravel(), cols.ravel(),
-                       np.arange(0, _ES_WIDTH * len(u) + 1, _ES_WIDTH, dtype=np.int32)),
-                      shape=(len(u), m_r))
+    # built target-major and copied: the (len(u), _ES_WIDTH) temporary that
+    # is freed here raises glibc's dynamic mmap and trim thresholds, without
+    # which the pipelines' per-op arrays are trimmed and faulted back each op
+    weights = _es_kernel(np.subtract.outer(t, offsets / half)).T.copy()
     centre = x.lo + c * x.spacing
     phase = np.exp(1j * sign * centre * u) if centre != 0.0 else None
-    for arr in (plan.data, plan.indices, plan.indptr, phase):
+    for arr in (cols, weights, phase):
         if arr is not None:
             arr.flags.writeable = False
-    return plan, phase
+    return cols, weights, phase
 
 
 def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -314,10 +309,12 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
     The coefficients, divided by the DFT of the exponential-of-semicircle
     kernel sampled on the periodic grid of :func:`_fine_grid`, go through
     one complex FFT onto that grid; each block of up to _SPREAD_BLOCK
-    targets then gathers the kernel-weighted values of its _ES_WIDTH
-    nearest grid nodes by one sparse product with its kept plan
-    (:func:`_interp_plan`), and takes the centring phase.  This is the
-    adjoint of :func:`_nufft_sum` (Barnett, Magland & af Klinteberg, 2019).
+    targets then gathers, tap by tap from its kept plan
+    (:func:`_interp_plan`), the grid values at the tap's columns times its
+    weights into a zeroed row (a csr product's summation order), and takes
+    the centring phase; no (_ES_WIDTH, len(u)) array is made per call.
+    This is the adjoint of :func:`_nufft_sum` (Barnett, Magland & af
+    Klinteberg, 2019).
     It agrees with :func:`_direct_sum` to about 1e-13 of sum_j |coef_j|,
     and tests/test_grids.py pins 1e-10 for both signs from 2 nodes up.
     """
@@ -330,13 +327,20 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
     # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r; in place, so
     # the call holds one fine-grid array, not two
     grid = np.fft.ifft(fine, norm="forward", out=fine)
-    out = np.empty(len(u), dtype=complex)
+    out = np.zeros(len(u), dtype=complex)
+    gathered = np.empty(min(len(u), _SPREAD_BLOCK), dtype=complex)
     for start in range(0, len(u), _SPREAD_BLOCK):
         block = slice(start, start + _SPREAD_BLOCK)
-        plan, phase = _interp_plan(x, u[block].tobytes(), sign)
-        out[block] = plan @ grid
+        row = out[block]
+        tap = gathered[:len(row)]
+        cols, weights, phase = _interp_plan(x, u[block].tobytes(), sign)
+        for col, weight in zip(cols, weights):
+            # col is in range; "wrap" gathers into tap, "raise" through a buffer
+            np.take(grid, col, out=tap, mode="wrap")
+            tap *= weight
+            row += tap
         if phase is not None:
-            out[block] *= phase
+            row *= phase
     return out
 
 

@@ -192,7 +192,11 @@ def _series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesPlan:
                     count //= math.factorial(mt)
                     count *= ct ** mt
                     prod *= np.float64(vt) ** mt
-                terms.append(SeriesTerm(depth=j, product=float(prod), count=float(count),
+                try:
+                    count = float(count)
+                except OverflowError:  # past the float range: the table refuses the row
+                    count = math.inf
+                terms.append(SeriesTerm(depth=j, product=float(prod), count=count,
                                         multiplicities=tuple(m)))
     return SeriesPlan(pivot_value=pivot, n1=n1, h=h, n_trunc=n_trunc,
                       e=e_factor(kernel, h, pivot),

@@ -250,9 +250,9 @@ class TestSharing:
         kernel = cfg.kernel_obj()
         # a type-2 NUFFT plan, on a grid whose centre is off 0 so that it keeps a phase
         targets = np.linspace(-3.0, 3.0, 50).tobytes()
-        plan, phase = grids._interp_plan(Grid1D(-1.0, 2.0, 64), targets, 1.0)
+        cols, weights, phase = grids._interp_plan(Grid1D(-1.0, 2.0, 64), targets, 1.0)
         for arr in (kernel.coeffs, kernel.offsets, cfg.law_obj().density_.values,
-                    out.truth.values, taps.values, plan.data, plan.indices, plan.indptr, phase):
+                    out.truth.values, taps.values, cols, weights, phase):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -636,14 +636,16 @@ class TestCli:
         ("fourier", [1e-310, 1e-311], 1, False),    # the weight |scale|^-beta overflows
         ("plugin", [1e200, 1e199], 2, True),        # f1^2 and the depth-2 product overflow
         ("onb", [1e-310, 1e-311], 1, False),        # h(x)/h(f1 x) overflows
+        ("plugin", [1.3, 0.1, 0.1, 0.1], 700, False),  # a multiplicity passes the float range
     ], ids=["zero-scale-fourier", "zero-scale-plugin", "u-grid-budget", "zero-product",
             "overflowing-scale", "overflowing-spectral-weight", "overflowing-product",
-            "overflowing-weight-ratio"])
+            "overflowing-weight-ratio", "overflowing-count"])
     def test_small_series_scale_exit_code(self, tmp_path, capsys, method, coeffs, n_N,
                                           oracle_g1):
+        offsets = [[0, 0], [1, 0], [0, 1], [1, 1]][:len(coeffs)]
         cfg_path = self._write_cfg(tmp_path, method=method, reps=1, n_N=n_N,
                                    oracle_g1=oracle_g1,
-                                   kernel={"coeffs": coeffs, "offsets": [[0, 0], [1, 0]]})
+                                   kernel={"coeffs": coeffs, "offsets": offsets})
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.csv")]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1

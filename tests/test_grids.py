@@ -245,6 +245,60 @@ class TestInterpolatingNufft:
         monkeypatch.setattr(grids, "_SPREAD_BLOCK", 16)
         assert np.array_equal(phase_sum(coef, grid, u, 1.0), whole)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gather_matches_sparse_product(self, monkeypatch, sign):
+        # the tap-by-tap gather sums in the order of a csr product of the same
+        # taps and weights, so it gives the same bits; the grid is off-centre,
+        # so every block also takes its phase
+        from scipy.sparse import csr_matrix
+
+        grids_seen = []
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            result = ifft(a, *args, **kwargs)
+            grids_seen.append(result.copy())
+            return result
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        monkeypatch.setattr(grids, "_SPREAD_BLOCK", 16)
+        rng = np.random.default_rng(6)
+        grid = Grid1D(-1.0, 2.0, 64)
+        coef = rng.normal(size=64) + 1j * rng.normal(size=64)
+        u = rng.uniform(-30.0, 30.0, 101)
+        fast = phase_sum(coef, grid, u, sign)
+        [fine] = grids_seen
+        for start in range(0, len(u), 16):
+            block = slice(start, start + 16)
+            cols, weights, phase = grids._interp_plan(grid, u[block].tobytes(), sign)
+            width, n = cols.shape
+            plan = csr_matrix((weights.T.ravel(), cols.T.ravel(),
+                               np.arange(0, width * n + 1, width)), shape=(n, len(fine)))
+            assert phase is not None
+            assert np.array_equal(fast[block], (plan @ fine) * phase)
+
+    @pytest.mark.parametrize("n_u", [2048, 6144])
+    def test_call_holds_no_tap_matrix(self, n_u):
+        # with its plan kept, a call holds the fine grid and a few target rows,
+        # never a (_ES_WIDTH, n_u) gather or a complex copy of the weights:
+        # such temporaries pushed the per-op peak past glibc's heap trim
+        # threshold, and freed pages were faulted back in on every op
+        import tracemalloc
+
+        grid = symmetric_grid(np.pi, 4097)
+        rng = np.random.default_rng(7)
+        coef = rng.normal(size=4097) + 1j * rng.normal(size=4097)
+        u = rng.uniform(-101.0, 101.0, n_u)
+        phase_sum(coef, grid, u, -1.0)
+        tracemalloc.start()
+        try:
+            phase_sum(coef, grid, u, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m_r, _ = _fine_grid(2048)
+        assert peak <= 16 * (3 * m_r + 4 * n_u)
+
     def test_scattered_targets_take_the_fast_path(self, no_direct_sum):
         F = gaussian_transform(symmetric_grid(np.pi, 4097))
         points = np.random.default_rng(5).uniform(-101.0, 101.0, 6144)
