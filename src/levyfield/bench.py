@@ -32,7 +32,15 @@ JSON of the config fields they read), :func:`invert.build_series_plan`
 (the ONB systems), :meth:`smooth.SmoothingKernel.grid_function` (the
 smoothing taps) and :func:`grids._interp_plan` (the taps and kernel
 weights of each type-2 NUFFT at the points the config fixes: the x-grid,
-and the points at which plug-in and onb read g1_hat).  Each call still
+and the points at which plug-in and onb read g1_hat).  So are, for
+arrays of at most grids._SPREAD_BLOCK entries (:func:`grids._kept`), the
+nodes and trapezoid weights of the config's grids
+(:meth:`grids.Grid1D.nodes`, :func:`grids.trapezoid_weights`), the
+|u| <= pi l window of the u-grid (:func:`grids._symmetric_window`), the
+source side of each type-2 NUFFT (:func:`grids._scatter_plan`), the
+spectrum of the smoothing taps with the convolution's FFT length
+(:func:`grids._kernel_spectrum`) and the Haar values on the x-grid
+(:meth:`onb.HaarBasis._grid_values`).  Each call still
 computes afresh what depends on its sample or its estimate: the ECF
 (unless taken over as above), an oracle g1, the estimate, its smoothing
 and its MSE; and it still gives every warning and refusal of its inputs.
@@ -510,7 +518,7 @@ def validate_onb() -> dict:
     # in-span recovery from exact forward data
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=m)
-    g0 = lambda x: basis.combine(coeffs, x)
+    g0 = lambda x: basis.combine(coeffs, basis.values(x))
     g1 = forward_g_transform(g0, kernel, h)
     yhat = onb_mod.project_g1bar(g1, system)
     xhat = onb_mod.solve_coefficients(yhat, system)

@@ -23,10 +23,15 @@ The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
 targets, the plan that depends only on the source grid and the targets
 (:func:`_interp_plan`): 272 bytes per target, so at most 4.5 MB per plan
 and 36 MB for the _KEEP plans kept, at any grid size.
+The source side of the type-2 path is kept per source count
+(:func:`_scatter_plan`), as are each grid's nodes and trapezoid weights;
+these, and every other array kept here, hold at most _SPREAD_BLOCK entries
+(:func:`_kept`), and a larger grid computes them each call.
 Every spectral method reads F[g1] on one grid, the ECF's u-grid
-restricted to |u| <= pi l (:func:`_restrict_symmetric`).
-Convolution is one FFT product (:func:`convolve`) of a 5-smooth length
-(:func:`_fast_len`).  No grid or FFT may have more than
+restricted to |u| <= pi l (:func:`_restrict_symmetric`, a view whose
+window is kept).  Convolution is one FFT product (:func:`convolve`) of a
+5-smooth length (:func:`_fast_len`), with the kernel's spectrum and the
+length kept (:func:`_kernel_spectrum`).  No grid or FFT may have more than
 ``_MAX_CELLS`` nodes (:func:`_check_budget`), the periodic grid of either
 NUFFT included, and neither NUFFT places a point more than
 ``_MAX_POSITION`` grid points from the origin.
@@ -74,6 +79,28 @@ _MAX_POSITION = 2.0 ** 52
 _KEEP = 8
 
 
+def _kept(entries):
+    """Keep a config-only function's results as _KEEP says, for the calls
+    whose kept arrays hold at most _SPREAD_BLOCK entries in all, as
+    ``entries(*args)`` counts them before anything is computed.  A larger
+    call computes afresh and keeps nothing, so no kept entry outgrows a
+    type-2 plan's block of targets, and a one-off grid of up to _MAX_CELLS
+    nodes is never kept.  ``cache_clear`` and ``cache_info`` are the
+    kept calls' own."""
+
+    def wrap(fn):
+        keep = functools.lru_cache(maxsize=_KEEP)(fn)
+
+        @functools.wraps(fn)
+        def call(*args):
+            return (keep if entries(*args) <= _SPREAD_BLOCK else fn)(*args)
+
+        call.cache_clear, call.cache_info = keep.cache_clear, keep.cache_info
+        return call
+
+    return wrap
+
+
 def _check_budget(n: int, what: str) -> None:
     """Refuse, before anything is allocated, a grid of more than _MAX_CELLS
     nodes or cells, with ResourceLimitError (CLI exit 3)."""
@@ -104,8 +131,12 @@ class Grid1D:
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
 
+    @_kept(lambda self: self.n)
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
+        """The n nodes, read-only, kept as :func:`_kept` says."""
+        nodes = np.linspace(self.lo, self.hi, self.n)
+        nodes.flags.writeable = False
+        return nodes
 
     def is_symmetric(self) -> bool:
         """lo = -hi within 1e-9 of the grid's width."""
@@ -150,10 +181,13 @@ class GridFunction:
         return np.interp(x, nodes, self.values, left=0.0, right=0.0)
 
 
+@_kept(lambda grid: grid.n)
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:
+    """The grid's n trapezoid weights, read-only, kept as :func:`_kept` says."""
     w = np.full(grid.n, grid.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -297,6 +331,22 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     return cols, weights, phase
 
 
+@_kept(lambda n: 2 * n)
+def _scatter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The source side of :func:`phase_sum` for sources on an n-node grid:
+    the size m_r of the fine grid, the fine-grid index m mod m_r of each
+    source, m = j - n // 2, and the kernel DFT at |m| that divides its
+    coefficient; n integers and n floats, read-only, kept as :func:`_kept`
+    says."""
+    c = n // 2
+    m = np.arange(n) - c
+    m_r, kernel_dft = _fine_grid(max(c, n - 1 - c))
+    index = m & (m_r - 1)
+    divisor = kernel_dft[np.abs(m)]
+    index.flags.writeable = divisor.flags.writeable = False
+    return m_r, index, divisor
+
+
 def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """S(u_k) = sum_j coef_j exp(sign * i * u_k * x_j) for one row of x.n
     coefficients, with the sources x_j on the nodes of the uniform grid x,
@@ -319,11 +369,9 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
     and tests/test_grids.py pins 1e-10 for both signs from 2 nodes up.
     """
     u = np.asarray(u, dtype=float)
-    c = x.n // 2
-    m = np.arange(x.n) - c
-    m_r, kernel_dft = _fine_grid(max(c, x.n - 1 - c))
+    m_r, index, divisor = _scatter_plan(x.n)
     fine = np.zeros(m_r, dtype=complex)
-    fine[m & (m_r - 1)] = coef / kernel_dft[np.abs(m)]
+    fine[index] = coef / divisor
     # node n holds sum_m fine_m e^{+i m n h}, h = 2 pi / m_r; in place, so
     # the call holds one fine-grid array, not two
     grid = np.fft.ifft(fine, norm="forward", out=fine)
@@ -346,18 +394,24 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
 
 def _restrict_symmetric(F: GridFunction, cutoff: float) -> GridFunction:
     """F on the nodes of its symmetric u-grid with |u| <= cutoff: the grid
-    every spectral method reads F[g1] on.  A grid that ends below the cutoff
-    raises CoverageError."""
-    g = F.grid
+    every spectral method reads F[g1] on, with a view of F's values.  A grid
+    that ends below the cutoff raises CoverageError."""
+    sub, sel = _symmetric_window(F.grid, cutoff)
+    return GridFunction(sub, F.values[sel])
+
+
+@functools.lru_cache(maxsize=_KEEP)
+def _symmetric_window(g: Grid1D, cutoff: float) -> tuple[Grid1D, slice]:
+    """The sub-grid of :func:`_restrict_symmetric` and the slice of g's
+    nodes it covers, kept as _KEEP says: no array, so at any grid size an
+    entry is two small objects."""
     if g.hi < cutoff * (1 - 1e-9):
         raise CoverageError(
             f"u-grid reaches only {g.hi:.6g}, below the requested cutoff {cutoff:.6g}"
         )
     u = g.nodes()
-    mask = np.abs(u) <= cutoff * (1 + 1e-12)
-    sel = np.where(mask)[0]
-    sub = Grid1D(u[sel[0]], u[sel[-1]], len(sel))
-    return GridFunction(sub, F.values[sel])
+    sel = np.flatnonzero(np.abs(u) <= cutoff * (1 + 1e-12))
+    return Grid1D(u[sel[0]], u[sel[-1]], len(sel)), slice(int(sel[0]), int(sel[-1]) + 1)
 
 
 def fourier_forward(f: GridFunction, u_grid: Grid1D) -> GridFunction:
@@ -414,6 +468,21 @@ def _fast_len(n: int) -> int:
     return best
 
 
+@_kept(lambda taps, dtype, real, need: len(taps) // np.dtype(dtype).itemsize + need)
+def _kernel_spectrum(taps: bytes, dtype: str, real: bool, need: int) -> tuple[int, np.ndarray]:
+    """The FFT length of :func:`convolve`, _fast_len(need), refused past
+    _MAX_CELLS points before anything is allocated, and the forward FFT of
+    the taps (the bytes of a ``dtype`` array) at that length: a real FFT of
+    size // 2 + 1 values when ``real``, else a complex one of size values.
+    Read-only, and keyed on the taps' bytes as :func:`_interp_plan` is on
+    its targets; kept as :func:`_kept` says, counting the taps and need."""
+    size = _fast_len(need)
+    _check_budget(size, "convolution FFT points")
+    spectrum = (np.fft.rfft if real else np.fft.fft)(np.frombuffer(taps, dtype), size)
+    spectrum.flags.writeable = False
+    return size, spectrum
+
+
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(x) = sum_y f(y) g(x - y) spacing, evaluated on f's grid.
 
@@ -424,9 +493,10 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
     The full convolution of lengths n and L is one FFT product of length
     _fast_len(n + L - 1) (real FFTs for real inputs), refused past
-    _MAX_CELLS points before anything is allocated.  In the tests each lag
-    is within 5e-17 of dx sum|f| max|g| of its direct sum, and they pin
-    1e-15 of that scale against ``np.convolve``.
+    _MAX_CELLS points before anything is allocated; g's spectrum and the
+    length are kept (:func:`_kernel_spectrum`), so a call makes two FFTs.
+    In the tests each lag is within 5e-17 of dx sum|f| max|g| of its direct
+    sum, and they pin 1e-15 of that scale against ``np.convolve``.
     """
     dx = f.grid.spacing
     shift = g.grid.lo / dx
@@ -437,13 +507,13 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         )
     n, taps = f.grid.n, g.grid.n
     real = not (f.is_complex or g.is_complex)
-    size = _fast_len(n + taps - 1)
-    _check_budget(size, "convolution FFT points")
     first = -int(np.rint(shift))  # the lag of output 0
     lo, hi = max(first, 0), min(first + n, n + taps - 1)  # kept lags that exist
+    size, spectrum = _kernel_spectrum(g.values.tobytes(), g.values.dtype.str, real,
+                                      n + taps - 1)
     out = np.zeros(n, dtype=np.result_type(f.values, g.values, dx))
     if lo < hi:
         forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-        lags = inverse(forward(f.values, size) * forward(g.values, size), size)
+        lags = inverse(forward(f.values, size) * spectrum, size)
         out[lo - first:hi - first] = lags[lo:hi] * dx
     return GridFunction(f.grid, out)

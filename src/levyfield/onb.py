@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     SingularSystemError,
 )
-from .grids import _KEEP, Grid1D, GridFunction, _check_budget
+from .grids import _KEEP, Grid1D, GridFunction, _check_budget, _kept
 from .model import SimpleKernel, WeightH, e_factor, forward_g_transform
 
 __all__ = [
@@ -108,15 +108,25 @@ class HaarBasis:
         """(m, len(x)) stack of the basis functions' values at x."""
         return np.stack([self.evaluate(j, x) for j in range(self.m)])
 
-    def combine(self, coeffs: np.ndarray, x) -> np.ndarray:
+    @_kept(lambda self, grid: self.m * grid.n)
+    def _grid_values(self, grid: Grid1D) -> np.ndarray:
+        """:meth:`values` at the grid's nodes, read-only, kept as
+        grids._kept says, counting m values per node."""
+        values = self.values(grid.nodes())
+        values.flags.writeable = False
+        return values
+
+    def combine(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """sum_j coeffs_j psi_j from the (m, n) stack of :meth:`values` at
+        n points, adding its rows in order of j and skipping zero
+        coefficients: the one routine that sums a Haar expansion."""
         coeffs = np.asarray(coeffs, dtype=float)
         if len(coeffs) != self.m:
             raise InvalidInputError(f"expected {self.m} coefficients")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for j, c in enumerate(coeffs):
+        out = np.zeros(values.shape[1:])
+        for c, row in zip(coeffs, values):
             if c != 0.0:
-                out += c * self.evaluate(j, x)
+                out += c * row
         return out
 
 
@@ -216,7 +226,7 @@ def solve_coefficients(yhat: np.ndarray, system: EtaSystem) -> np.ndarray:
 def onb_estimate(xhat: np.ndarray, basis: HaarBasis, x_grid: Grid1D) -> GridFunction:
     """g0 estimate sum_i x_i psi_i, evaluated on x_grid; supported in
     [-A, A]."""
-    return GridFunction(x_grid, basis.combine(xhat, x_grid.nodes()))
+    return GridFunction(x_grid, basis.combine(xhat, basis._grid_values(x_grid)))
 
 
 def onb_error_bound(e_factor_: float, f1: float, n1: int,

@@ -79,11 +79,11 @@ class GridSample:
         return self.values.reshape(-1)
 
 
-def _cp_sums(law: JumpLaw, sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vector of independent compound Poisson sums, one per cell size."""
-    counts = rng.poisson(sizes * law.mass)
+def _cp_sums(law: JumpLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Vector of n independent compound Poisson sums, one per unit cell."""
+    counts = rng.poisson(law.mass, n)
     total = int(counts.sum())
-    out = np.zeros(len(sizes))
+    out = np.zeros(n)
     if total == 0:
         return out
     jumps = law.sample(rng, total)
@@ -129,7 +129,7 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
     n_cells = math.prod(ext_shape)
     _check_budget(n_cells, "window cells")
     rng = seeds.replication_rng(rep)
-    cells = _cp_sums(law, np.ones(n_cells), rng).reshape(ext_shape)
+    cells = _cp_sums(law, n_cells, rng).reshape(ext_shape)
     out = np.zeros(window)
     for fk, ck in zip(kernel.coeffs, off):
         # Y_j uses cell j - ck; cell x sits at slot x + hi in the extended array

@@ -14,7 +14,10 @@ Smoothing samples a kernel only at the taps the convolution reads, but
 normalises those taps by the trapezoid mass over the kernel's whole
 effective radius.  For the Fejer kernel that mass has a closed form
 (:func:`_fejer_mass`); the other kernels, and the Fejer kernel on a grid
-coarser than pi b, sum it over the full-radius grid.  Only the quadrature
+coarser than pi b, sum it over the full-radius grid.  The taps are kept
+(:meth:`SmoothingKernel.grid_function`), and :func:`grids.convolve` keeps
+their spectrum and its FFT length, so smoothing an estimate takes two
+FFTs, of the estimate and of the product.  Only the quadrature
 checks :func:`a_delta` and :func:`k1_mass_error` use scipy, which they
 import when called.
 """

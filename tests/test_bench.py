@@ -25,7 +25,7 @@ from levyfield.bench import (
 )
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
-from levyfield.errors import ConfigError, PreconditionError
+from levyfield.errors import ConfigError, CoverageError, PreconditionError, ResourceLimitError
 from levyfield.grids import Grid1D, GridFunction, symmetric_grid
 from levyfield.simulate import SeedSpec, sample_field
 
@@ -239,7 +239,7 @@ class TestSharing:
         with pytest.raises(ValueError):
             system.mix[0, 0] = 0.0
 
-    def test_kept_config_work_is_read_only(self):
+    def test_kept_config_work_is_read_only(self, monkeypatch):
         law = {"kind": "tabulated", "x": [-4.0, -2.0, 0.0, 2.0, 4.0],
                "density": [0.05, 0.2, 0.3, 0.2, 0.05]}
         cfg = small_cfg(method="plugin", jump_law=law, oracle_g1=True)
@@ -255,6 +255,56 @@ class TestSharing:
                     out.truth.values, taps.values, cols, weights, phase):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+        # the grid nodes and weights, the |u| <= pi l window, phase_sum's
+        # scatter, convolve's spectrum and the Haar values on the x-grid: on a
+        # second call of each config, every one is the object of the first call
+        spied = [(Grid1D, "nodes"), (grids, "trapezoid_weights"), (grids, "_scatter_plan"),
+                 (grids, "_symmetric_window"), (grids, "_kernel_spectrum"),
+                 (onb.HaarBasis, "_grid_values")]
+        results = {attr: [] for _, attr in spied}
+        for owner, attr in spied:
+            def spy(*args, _fn=getattr(owner, attr), _seen=results[attr]):
+                _seen.append(_fn(*args))
+                return _seen[-1]
+            monkeypatch.setattr(owner, attr, spy)
+
+        def kept_by_call(cfg, rep):
+            for seen in results.values():
+                seen.clear()
+            run_pipeline(cfg, rep)
+            return {attr: list(seen) for attr, seen in results.items()}
+
+        reached = set()
+        for method in METHODS:
+            for oracle in (False, True):
+                cfg = small_cfg(method=method, oracle_g1=oracle, smooth_family="bandlimited")
+                # the first call also builds the config's setup
+                first, second = kept_by_call(cfg, 0), kept_by_call(cfg, 1)
+                for attr, seen in second.items():
+                    where = (method, oracle, attr)
+                    assert all(any(a is b for b in first[attr]) for a in seen), where
+                    arrays = [a for r in seen for a in (r if isinstance(r, tuple) else (r,))
+                              if isinstance(a, np.ndarray)]
+                    assert not any(a.flags.writeable for a in arrays), where
+                    reached |= {attr} if seen else set()
+        assert reached == set(results)
+
+    @pytest.mark.parametrize("case", ["window past the u-grid", "spectrum over budget"])
+    def test_kept_call_that_raises_keeps_nothing(self, monkeypatch, case):
+        if case == "window past the u-grid":
+            cache = grids._symmetric_window
+            call = lambda: cache(symmetric_grid(2.0, 65), 3.0)
+            error = CoverageError
+        else:
+            cache = grids._kernel_spectrum
+            monkeypatch.setattr(grids, "_MAX_CELLS", 99)
+            call = lambda: cache(np.ones(20).tobytes(), "<f8", True, 120)
+            error = ResourceLimitError
+        cache.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error):
+                call()
+        assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("change", [
         {"bandwidth": 0.8},

@@ -178,7 +178,7 @@ class TestProjection:
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=7)
         basis = bench_system.basis
-        g0 = lambda x: basis.combine(coeffs, x)
+        g0 = lambda x: basis.combine(coeffs, basis.values(x))
         g1 = forward_g_transform(g0, bench_kernel, h_linear)
         y = project_g1bar(g1, bench_system)
         expect = bench_system.mix @ coeffs
@@ -267,7 +267,7 @@ class TestEstimate:
         rng = np.random.default_rng(21)
         coeffs = rng.normal(size=7)
         basis = bench_system.basis
-        g0 = lambda x: basis.combine(coeffs, x)
+        g0 = lambda x: basis.combine(coeffs, basis.values(x))
         g1 = forward_g_transform(g0, bench_kernel, h_linear)
         y = project_g1bar(g1, bench_system)
         xhat = solve_coefficients(y, bench_system)

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +24,23 @@ from oracles import field_moments
 
 
 class TestCpCell:
-    # _cp_sums draws the cells of sample_field: one compound Poisson sum per cell size
+    # _cp_sums draws the cells of sample_field: one compound Poisson sum per unit cell
     def test_tiny_volume_is_almost_surely_zero(self, gaussian_law):
         rng = SeedSpec(1).replication_rng(0)
-        draws = _cp_sums(gaussian_law, np.full(100_000, 1e-9), rng)
+        draws = _cp_sums(replace(gaussian_law, mass=1e-9), 100_000, rng)
         frac = np.mean(draws != 0)
         assert frac < 1e-6 + 3 * np.sqrt(1e-9)
 
     def test_exponential_mean_wald(self, exponential_law):
-        # E = volume * mass * E[jump] = 1
+        # E = mass * E[jump] = 1
         rng = SeedSpec(2).replication_rng(0)
-        draws = _cp_sums(exponential_law, np.ones(20_000), rng)
+        draws = _cp_sums(exponential_law, 20_000, rng)
         sd = draws.std(ddof=1)
         assert abs(draws.mean() - 1.0) <= 3 * sd / np.sqrt(len(draws))
 
     def test_gaussian_cp_moments(self, gaussian_law):
         rng = SeedSpec(3).replication_rng(0)
-        draws = _cp_sums(gaussian_law, np.ones(20_000), rng)
+        draws = _cp_sums(gaussian_law, 20_000, rng)
         n = len(draws)
         assert abs(draws.mean()) <= 3 / np.sqrt(n)  # var = lambda E[J^2] = 1
         assert abs(draws.var() - 1.0) <= 3 * np.sqrt(6.0 / n)
