@@ -29,8 +29,9 @@ these, and every other array kept here, hold at most _SPREAD_BLOCK entries
 (:func:`_kept`), and a larger grid computes them each call.
 Every spectral method reads F[g1] on one grid, the ECF's u-grid
 restricted to |u| <= pi l (:func:`_restrict_symmetric`, a view whose
-window is kept).  Convolution is one FFT product (:func:`convolve`) of a
-5-smooth length (:func:`_fast_len`), with the kernel's spectrum and the
+window is kept).  Convolution is one circular FFT product
+(:func:`convolve`) of the smallest 5-smooth length (:func:`_fast_len`) at
+which no lag folds onto a kept one, with the kernel's spectrum and the
 length kept (:func:`_kernel_spectrum`).  No grid or FFT may have more than
 ``_MAX_CELLS`` nodes (:func:`_check_budget`), the periodic grid of either
 NUFFT included, and neither NUFFT places a point more than
@@ -171,14 +172,10 @@ class GridFunction:
         return np.iscomplexobj(self.values)
 
     def __call__(self, x) -> np.ndarray:
-        """Linear interpolation with zero extension outside the grid."""
+        """Linear interpolation with zero extension outside the grid, of
+        complex values too, in one np.interp call."""
         x = np.asarray(x, dtype=float)
-        nodes = self.grid.nodes()
-        if self.is_complex:
-            re = np.interp(x, nodes, self.values.real, left=0.0, right=0.0)
-            im = np.interp(x, nodes, self.values.imag, left=0.0, right=0.0)
-            return re + 1j * im
-        return np.interp(x, nodes, self.values, left=0.0, right=0.0)
+        return np.interp(x, self.grid.nodes(), self.values, left=0.0, right=0.0)
 
 
 @_kept(lambda grid: grid.n)
@@ -491,10 +488,16 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     i - g.lo / spacing of the full discrete convolution, zero beyond its
     ends.
 
-    The full convolution of lengths n and L is one FFT product of length
-    _fast_len(n + L - 1) (real FFTs for real inputs), refused past
-    _MAX_CELLS points before anything is allocated; g's spectrum and the
-    length are kept (:func:`_kernel_spectrum`), so a call makes two FFTs.
+    The convolution of lengths n and L is one circular FFT product (real
+    FFTs for real inputs) whose length is _fast_len(max(hi, n + L - 1 - lo))
+    for the kept lags [lo, hi): the smallest at which the lags that exist,
+    0 .. n + L - 2, fold onto no kept lag, since lag k >= size lands on
+    k - size <= n + L - 2 - size < lo.  An input longer than the FFT is cut
+    to it, which drops only lags at or past size >= hi.  A length past
+    _MAX_CELLS points is refused before anything is allocated; g's spectrum
+    and the length are kept (:func:`_kernel_spectrum`), so a call makes two
+    FFTs.  Fejer smoothing (n points, 2n - 1 taps) takes _fast_len(2n - 1)
+    points, 4096 at n = 2048 where the full convolution took 6144.
     In the tests each lag is within 5e-17 of dx sum|f| max|g| of its direct
     sum, and they pin 1e-15 of that scale against ``np.convolve``.
     """
@@ -510,7 +513,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     first = -int(np.rint(shift))  # the lag of output 0
     lo, hi = max(first, 0), min(first + n, n + taps - 1)  # kept lags that exist
     size, spectrum = _kernel_spectrum(g.values.tobytes(), g.values.dtype.str, real,
-                                      n + taps - 1)
+                                      max(hi, n + taps - 1 - lo))
     out = np.zeros(n, dtype=np.result_type(f.values, g.values, dx))
     if lo < hi:
         forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)

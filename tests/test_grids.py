@@ -462,13 +462,28 @@ class TestConvolve:
         assert [_fast_len(n) for n in range(lo, hi + 1)] == want
 
     def test_fft_length_over_budget_refused(self, monkeypatch):
-        # 201 + 300 - 1 lags need an FFT of 500 points or more
+        # the kept lags are 150 .. 350 of 0 .. 499: no lag folds onto them
+        # from 351 points up, and the 5-smooth length is 360
         g = Grid1D(-2, 2, 201)
         f = GridFunction(g, np.ones(g.n))
         k = GridFunction(Grid1D(-150 * g.spacing, 149 * g.spacing, 300), np.ones(300))
-        monkeypatch.setattr(grids, "_MAX_CELLS", 499)
+        grids._kernel_spectrum.cache_clear()  # a kept length is not budgeted again
+        monkeypatch.setattr(grids, "_MAX_CELLS", 359)
         with pytest.raises(ResourceLimitError, match="convolution FFT points"):
             convolve(f, k)
+
+    def test_fejer_size_takes_4096_points(self, monkeypatch):
+        # 2048 points and 4095 taps: the kept lags 2047 .. 4094 of 0 .. 6141
+        # need 4095 points, so 4096, not the 6144 of the full convolution
+        g = symmetric_grid(6.0, 2048)
+        f = GridFunction(g, np.ones(g.n))
+        k = GridFunction(Grid1D(-2047 * g.spacing, 2047 * g.spacing, 4095), np.ones(4095))
+        grids._kernel_spectrum.cache_clear()  # a kept length is not budgeted again
+        monkeypatch.setattr(grids, "_MAX_CELLS", 4095)
+        with pytest.raises(ResourceLimitError, match="4096 convolution FFT points"):
+            convolve(f, k)
+        monkeypatch.setattr(grids, "_MAX_CELLS", 4096)
+        convolve(f, k)
 
     def test_mismatched_spacing_rejected(self):
         f = GridFunction(Grid1D(-1, 1, 101), gaussian_density(np.linspace(-1, 1, 101)))
