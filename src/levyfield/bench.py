@@ -23,33 +23,14 @@ replication) simulate once, and plug-in and Fourier on one u-grid
 neither reads nor fills these entries.
 
 What depends on the config alone is kept by the function that computes
-it, under one rule: the results of its last _KEEP argument sets are kept
-and handed out again, read-only, and a call that raises keeps nothing.
-These functions are :func:`_config_setup` (the kernel and jump law
-objects, the x-grid with the true g0 on it and the u-grid, built from the
-JSON of the config fields they read), :func:`invert.build_series_plan`
-(the series plans and both contraction factors), :func:`onb.build_eta`
-(the ONB systems), :meth:`smooth.SmoothingKernel.grid_function` (the
-smoothing taps) and :func:`grids._interp_plan` (the taps and kernel
-weights of each type-2 NUFFT at the points the config fixes: the x-grid,
-and the points at which plug-in and onb read g1_hat).  So are, for
-arrays of at most grids._SPREAD_BLOCK entries (:func:`grids._kept`), the
-nodes and trapezoid weights of the config's grids
-(:meth:`grids.Grid1D.nodes`, :func:`grids.trapezoid_weights`), the
-|u| <= pi l window of the u-grid (:func:`grids._symmetric_window`), the
-source side of each type-2 NUFFT (:func:`grids._scatter_plan`), the
-spectrum of the smoothing taps with the convolution's FFT length
-(:func:`grids._kernel_spectrum`) and the Haar values on the x-grid
-(:meth:`onb.HaarBasis._grid_values`).  Each call still
-computes afresh what depends on its sample or its estimate: the ECF
-(unless taken over as above), an oracle g1, the estimate, its smoothing
-and its MSE; and it still gives every warning and refusal of its inputs.
+it, by the rule of :func:`grids._kept`; each call still computes afresh
+what depends on its sample or its estimate, and still gives every warning
+and refusal of its inputs.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import time
@@ -65,7 +46,7 @@ from . import onb as onb_mod
 from .config import ExperimentConfig
 from .ecf import EcfEstimate, compute_ecf, fourier_g1_hat, g1_hat_at, stabilize
 from .errors import ConfigError, InvalidInputError, LevyFieldError
-from .grids import _KEEP, Grid1D, GridFunction, _check_budget, l2_norm, symmetric_grid
+from .grids import Grid1D, GridFunction, _check_budget, _freeze, _kept, l2_norm, symmetric_grid
 from .invert import build_series_plan, contraction_factor, fourier_estimate, plugin_estimate
 from .model import (
     JumpLaw,
@@ -155,7 +136,8 @@ def run_pipeline(cfg: ExperimentConfig, rep: int, sample=None) -> PipelineOutput
     is how the estimate subcommand consumes sample files.
     """
     t0 = time.perf_counter()
-    setup = _config_setup(_json_key(*(getattr(cfg, name) for name in _SETUP_FIELDS)))
+    setup = _config_setup(_json_key(*(getattr(cfg, name) for name in _SETUP_FIELDS)),
+                          cfg.grid_points)
     kernel, law, mse_grid, u_grid = setup.kernel, setup.law, setup.truth.grid, setup.u_grid
 
     if cfg.oracle_g1:
@@ -210,16 +192,15 @@ class _Setup:
     u_grid: Grid1D
 
 
-_SETUP_FIELDS = ("kernel", "jump_law", "A", "grid_points", "method", "l", "n_N")
+_SETUP_FIELDS = ("kernel", "jump_law", "A", "method", "l", "n_N")
 
 
-@functools.lru_cache(maxsize=_KEEP)
-def _config_setup(key: str) -> _Setup:
+@_kept(lambda key, grid_points: grid_points)
+def _config_setup(key: str, grid_points: int) -> _Setup:
     """The setup built from ``key``, the JSON of a config's _SETUP_FIELDS,
-    and from nothing else.  The setups of the last _KEEP keys are kept and
-    handed out again, with read-only arrays, and a call that raises keeps
-    nothing."""
-    cfg = SimpleNamespace(**dict(zip(_SETUP_FIELDS, json.loads(key))))
+    and ``grid_points``, and from nothing else."""
+    cfg = SimpleNamespace(grid_points=grid_points,
+                          **dict(zip(_SETUP_FIELDS, json.loads(key))))
     kernel = ExperimentConfig.kernel_obj(cfg)
     law = ExperimentConfig.law_obj(cfg)
     x_grid = symmetric_grid(cfg.A, cfg.grid_points)
@@ -227,7 +208,6 @@ def _config_setup(key: str) -> _Setup:
         u_grid = _u_grid(cfg, kernel)
     with _stage("mse"), np.errstate(over="ignore"):
         truth = GridFunction(x_grid, g0_model(law)(x_grid.nodes()))
-    truth.values.flags.writeable = False
     return _Setup(kernel=kernel, law=law, truth=truth, u_grid=u_grid)
 
 
@@ -287,10 +267,7 @@ def _stabilized_ecf(cfg: ExperimentConfig, rep: int, sample, setup: _Setup) -> E
 
     def ecf_of(smp):
         with _stage("ecf"):
-            ecf = stabilize(compute_ecf(smp, setup.u_grid))
-        for arr in (ecf.psi_hat, ecf.theta_hat, ecf.stabilized_recip):
-            arr.flags.writeable = False
-        return ecf
+            return _freeze(stabilize(compute_ecf(smp, setup.u_grid)))
 
     if sample is not None:
         return ecf_of(sample)

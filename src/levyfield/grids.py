@@ -19,27 +19,24 @@ two sums over it, of 1 and of Y, on its half-grid u_m = m du from
 u = 0.  Both serve every size from 2 sources or targets up and agree with
 the direct O(n*m) sum :func:`_direct_sum` to about 1e-13 of
 sum_j |c_j|; the direct sum is the tests' reference, and they pin 1e-10.
-The type-2 path keeps, per block of up to ``_SPREAD_BLOCK``
-targets, the plan that depends only on the source grid and the targets
-(:func:`_interp_plan`): 272 bytes per target, so at most 4.5 MB per plan
-and 36 MB for the _KEEP plans kept, at any grid size.
-The source side of the type-2 path is kept per source count
-(:func:`_scatter_plan`), as are each grid's nodes and trapezoid weights;
-these, and every other array kept here, hold at most _SPREAD_BLOCK entries
-(:func:`_kept`), and a larger grid computes them each call.
 Every spectral method reads F[g1] on one grid, the ECF's u-grid
-restricted to |u| <= pi l (:func:`_restrict_symmetric`, a view whose
-window is kept).  Convolution is one circular FFT product
-(:func:`convolve`) of the smallest 5-smooth length (:func:`_fast_len`) at
-which no lag folds onto a kept one, with the kernel's spectrum and the
-length kept (:func:`_kernel_spectrum`).  No grid or FFT may have more than
-``_MAX_CELLS`` nodes (:func:`_check_budget`), the periodic grid of either
-NUFFT included, and neither NUFFT places a point more than
-``_MAX_POSITION`` grid points from the origin.
+restricted to |u| <= pi l (:func:`_restrict_symmetric`, a view).
+Convolution is one circular FFT product (:func:`convolve`) of the
+smallest 5-smooth length (:func:`_fast_len`) at which no lag folds onto a
+kept one.  No grid or FFT may have more than ``_MAX_CELLS`` nodes
+(:func:`_check_budget`), the periodic grid of either NUFFT included, and
+neither NUFFT places a point more than ``_MAX_POSITION`` grid points from
+the origin.
+
+Work that depends on the config alone is kept, by one rule, :func:`_kept`:
+the series plans, ONB systems, smoothing taps and each pipeline's setup,
+and here the grids' nodes and trapezoid weights, the NUFFTs' fine grid and
+type-2 plans, the |u| <= pi l window and the convolution's spectrum.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -67,34 +64,58 @@ _MAX_CELLS = 50_000_000
 # the non-uniform FFT: with beta = 2.30 * width and oversampling 2 it leaves
 # a relative error near 1e-14.
 _ES_WIDTH = 16
-# sources spread per pass of the type-1 NUFFT, and targets per plan of the
-# type-2 NUFFT; bounds the type-1 per-tap scratch at under 1 MB and a type-2
-# plan at 4.5 MB, while each numpy call still covers many points
+# sources spread per pass of the type-1 NUFFT, targets per plan of the
+# type-2 NUFFT, and the most points a kept result holds (:func:`_kept`);
+# bounds the type-1 per-tap scratch at under 1 MB and a type-2 plan at
+# 4.5 MB, while each numpy call still covers many points
 _SPREAD_BLOCK = 1 << 14
 # Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
 # adjacent doubles lie a whole grid point apart, so no offset between taps is left
 _MAX_POSITION = 2.0 ** 52
-# Every function whose results depend on the config alone keeps them
-# (functools.lru_cache) for its last _KEEP argument sets; kept arrays are
-# read-only, and a call that raises keeps nothing.
+# argument sets whose results each kept function keeps (:func:`_kept`)
 _KEEP = 8
 
 
-def _kept(entries):
-    """Keep a config-only function's results as _KEEP says, for the calls
-    whose kept arrays hold at most _SPREAD_BLOCK entries in all, as
-    ``entries(*args)`` counts them before anything is computed.  A larger
-    call computes afresh and keeps nothing, so no kept entry outgrows a
-    type-2 plan's block of targets, and a one-off grid of up to _MAX_CELLS
-    nodes is never kept.  ``cache_clear`` and ``cache_info`` are the
-    kept calls' own."""
+def _freeze(value):
+    """value, with its arrays made read-only: value itself or the members of
+    a tuple, and the fields of a dataclass among them, recursively, except
+    a tuple held by a dataclass, so the rows of a series plan are never
+    visited."""
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif dataclasses.is_dataclass(item):
+            _freeze(tuple(v for v in vars(item).values() if not isinstance(v, tuple)))
+    return value
+
+
+def _kept(size):
+    """The one rule by which a function whose results depend on its
+    arguments alone (in the pipelines, on the config alone) keeps them:
+
+    - the results of its last _KEEP argument sets are kept and handed out
+      again (``functools.lru_cache``; ``cache_clear`` and ``cache_info``
+      stay on the kept function);
+    - each result's arrays are made read-only (:func:`_freeze`) inside the
+      kept function, so no thread sees a writable kept array;
+    - a call that raises keeps nothing;
+    - a call whose ``size(*args)`` is over _SPREAD_BLOCK points computes
+      afresh and keeps nothing.  Each site counts, before computing, the
+      points its result holds (grid nodes, taps, series rows); a type-2
+      plan counts its call's targets over _KEEP, so a call of more than
+      _KEEP blocks keeps none.  So a one-off grid of up to _MAX_CELLS nodes
+      is never kept."""
 
     def wrap(fn):
-        keep = functools.lru_cache(maxsize=_KEEP)(fn)
+        @functools.wraps(fn)
+        def frozen(*args):
+            return _freeze(fn(*args))
+
+        keep = functools.lru_cache(maxsize=_KEEP)(frozen)
 
         @functools.wraps(fn)
         def call(*args):
-            return (keep if entries(*args) <= _SPREAD_BLOCK else fn)(*args)
+            return (keep if size(*args) <= _SPREAD_BLOCK else frozen)(*args)
 
         call.cache_clear, call.cache_info = keep.cache_clear, keep.cache_info
         return call
@@ -134,10 +155,8 @@ class Grid1D:
 
     @_kept(lambda self: self.n)
     def nodes(self) -> np.ndarray:
-        """The n nodes, read-only, kept as :func:`_kept` says."""
-        nodes = np.linspace(self.lo, self.hi, self.n)
-        nodes.flags.writeable = False
-        return nodes
+        """The n nodes, read-only."""
+        return np.linspace(self.lo, self.hi, self.n)
 
     def is_symmetric(self) -> bool:
         """lo = -hi within 1e-9 of the grid's width."""
@@ -180,11 +199,10 @@ class GridFunction:
 
 @_kept(lambda grid: grid.n)
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:
-    """The grid's n trapezoid weights, read-only, kept as :func:`_kept` says."""
+    """The grid's n trapezoid weights, read-only."""
     w = np.full(grid.n, grid.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
-    w.flags.writeable = False
     return w
 
 
@@ -219,23 +237,21 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-@functools.lru_cache(maxsize=_KEEP)
+@_kept(lambda max_index: 4 * max_index)
 def _fine_grid(max_index: int) -> tuple[int, np.ndarray]:
     """The periodic grid of both NUFFTs for Fourier indices |m| <= max_index:
     its size m_r, the power of two >= 4 max_index (oversampling >= 2) and
     >= 4 _ES_WIDTH (so that the kernel's taps fit on it at any index), and
-    the DFT of the kernel sampled on it at indices 0 .. m_r / 2, kept as
-    _KEEP says.  A grid past _MAX_CELLS points is refused before it is
-    allocated."""
+    the DFT of the kernel sampled on it at indices 0 .. m_r / 2 (2 to 4
+    max_index values above the floor; :func:`_kept` counts 4 max_index).
+    A grid past _MAX_CELLS points is refused before it is allocated."""
     m_r = max(4 * _ES_WIDTH, 1 << (4 * max_index - 1).bit_length())
     _check_budget(m_r, "non-uniform FFT grid points")
     half = _ES_WIDTH // 2
     sampled = np.zeros(m_r)
     nodes = np.arange(-half, half + 1)
     sampled[nodes] = _es_kernel(nodes / half)
-    kernel_dft = np.fft.rfft(sampled).real
-    kernel_dft.flags.writeable = False
-    return m_r, kernel_dft
+    return m_r, np.fft.rfft(sampled).real
 
 
 def _tap_nodes(t: np.ndarray, m_r: int) -> np.ndarray:
@@ -296,14 +312,14 @@ def _nufft_sum(y: np.ndarray, du: float, n_u: int, sign: float) -> np.ndarray:
     return np.fft.rfft(grid, axis=1)[:, :n_u] / kernel_dft[:n_u]
 
 
-@functools.lru_cache(maxsize=_KEEP)
-def _interp_plan(x: Grid1D, targets: bytes, sign: float):
+@_kept(lambda x, targets, sign, n_targets: -(-n_targets // _KEEP))
+def _interp_plan(x: Grid1D, targets: bytes, sign: float, n_targets: int):
     """The interpolation plan of :func:`phase_sum` for sources on x and
-    the targets u (float64 bytes, at most _SPREAD_BLOCK of them): the
-    fine-grid columns of the _ES_WIDTH taps of each target and their kernel
-    weights, two tap-major (_ES_WIDTH, len(u)) arrays, and the centring
-    phase e^{i s u x_c} (None when x_c = 0); all read-only, kept as _KEEP
-    says."""
+    the targets u (float64 bytes, one block of at most _SPREAD_BLOCK of the
+    call's n_targets): the fine-grid columns of the _ES_WIDTH taps of each
+    target and their kernel weights, two tap-major (_ES_WIDTH, len(u))
+    arrays, and the centring phase e^{i s u x_c} (None when x_c = 0); 272
+    bytes per target, all read-only."""
     u = np.frombuffer(targets)
     c = x.n // 2
     m_r, _ = _fine_grid(max(c, x.n - 1 - c))
@@ -322,9 +338,6 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float):
     weights = _es_kernel(np.subtract.outer(t, offsets / half)).T.copy()
     centre = x.lo + c * x.spacing
     phase = np.exp(1j * sign * centre * u) if centre != 0.0 else None
-    for arr in (cols, weights, phase):
-        if arr is not None:
-            arr.flags.writeable = False
     return cols, weights, phase
 
 
@@ -333,15 +346,12 @@ def _scatter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The source side of :func:`phase_sum` for sources on an n-node grid:
     the size m_r of the fine grid, the fine-grid index m mod m_r of each
     source, m = j - n // 2, and the kernel DFT at |m| that divides its
-    coefficient; n integers and n floats, read-only, kept as :func:`_kept`
-    says."""
+    coefficient; n integers and n floats, read-only."""
     c = n // 2
     m = np.arange(n) - c
     m_r, kernel_dft = _fine_grid(max(c, n - 1 - c))
     index = m & (m_r - 1)
-    divisor = kernel_dft[np.abs(m)]
-    index.flags.writeable = divisor.flags.writeable = False
-    return m_r, index, divisor
+    return m_r, index, kernel_dft[np.abs(m)]
 
 
 def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -378,7 +388,7 @@ def phase_sum(coef: np.ndarray, x: Grid1D, u: np.ndarray, sign: float = 1.0) -> 
         block = slice(start, start + _SPREAD_BLOCK)
         row = out[block]
         tap = gathered[:len(row)]
-        cols, weights, phase = _interp_plan(x, u[block].tobytes(), sign)
+        cols, weights, phase = _interp_plan(x, u[block].tobytes(), sign, len(u))
         for col, weight in zip(cols, weights):
             # col is in range; "wrap" gathers into tap, "raise" through a buffer
             np.take(grid, col, out=tap, mode="wrap")
@@ -397,11 +407,10 @@ def _restrict_symmetric(F: GridFunction, cutoff: float) -> GridFunction:
     return GridFunction(sub, F.values[sel])
 
 
-@functools.lru_cache(maxsize=_KEEP)
+@_kept(lambda g, cutoff: 0)
 def _symmetric_window(g: Grid1D, cutoff: float) -> tuple[Grid1D, slice]:
     """The sub-grid of :func:`_restrict_symmetric` and the slice of g's
-    nodes it covers, kept as _KEEP says: no array, so at any grid size an
-    entry is two small objects."""
+    nodes it covers: no array, so at any grid size two small objects."""
     if g.hi < cutoff * (1 - 1e-9):
         raise CoverageError(
             f"u-grid reaches only {g.hi:.6g}, below the requested cutoff {cutoff:.6g}"
@@ -472,12 +481,10 @@ def _kernel_spectrum(taps: bytes, dtype: str, real: bool, need: int) -> tuple[in
     the taps (the bytes of a ``dtype`` array) at that length: a real FFT of
     size // 2 + 1 values when ``real``, else a complex one of size values.
     Read-only, and keyed on the taps' bytes as :func:`_interp_plan` is on
-    its targets; kept as :func:`_kept` says, counting the taps and need."""
+    its targets."""
     size = _fast_len(need)
     _check_budget(size, "convolution FFT points")
-    spectrum = (np.fft.rfft if real else np.fft.fft)(np.frombuffer(taps, dtype), size)
-    spectrum.flags.writeable = False
-    return size, spectrum
+    return size, (np.fft.rfft if real else np.fft.fft)(np.frombuffer(taps, dtype), size)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -17,7 +17,6 @@ in the depth and exact.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .grids import _KEEP, Grid1D, GridFunction, _restrict_symmetric, fourier_inverse_truncated
+from .grids import Grid1D, GridFunction, _kept, _restrict_symmetric, fourier_inverse_truncated
 from .model import SimpleKernel, WeightH, e_factor
 
 __all__ = [
@@ -144,12 +143,8 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
 
     Term count is sum_j C(j + g - 1, g - 1) with g the number of distinct
     non-pivot values, versus (n - n1)^j raw tuples; a plan of more than
-    _TERM_BUDGET terms raises ResourceLimitError.
-
-    The plan depends on the arguments alone: the plans of the last _KEEP
-    argument sets are kept and handed out again, read-only (a plan is
-    immutable), and a call that raises keeps nothing.  Every call warns
-    when the contraction factor e(f, h) is at least 1.
+    _TERM_BUDGET terms raises ResourceLimitError.  The plan is kept, and
+    every call warns when the contraction factor e(f, h) is at least 1.
     """
     if n_trunc < 0:
         raise InvalidInputError("truncation depth must be >= 0")
@@ -162,7 +157,10 @@ def build_series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesP
     return plan
 
 
-@functools.lru_cache(maxsize=_KEEP)
+# counting the rows of a plan whose distinct coefficient values stay apart when
+# snapped into groups: at least its rows, C(n_trunc + g, g)
+@_kept(lambda kernel, h, n_trunc: math.comb(n_trunc + len(set(kernel.coeffs.tolist())) - 1,
+                                            n_trunc))
 @np.errstate(over="ignore")  # a product out of range is 0 or inf, which the table refuses
 def _series_plan(kernel: SimpleKernel, h: WeightH, n_trunc: int) -> SeriesPlan:
     """The plan of :func:`build_series_plan`."""

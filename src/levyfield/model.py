@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     SingularRecoveryError,
 )
-from .grids import GridFunction, phase_sum, trapezoid_weights
+from .grids import GridFunction, _freeze, phase_sum, trapezoid_weights
 
 __all__ = [
     "JumpLaw",
@@ -96,8 +96,7 @@ class JumpLaw:
         vals = np.asarray(density.values, dtype=float)
         if np.any(vals < -1e-12):
             raise InvalidInputError("tabulated density must be nonnegative")
-        vals = np.clip(vals, 0.0, None)
-        vals.flags.writeable = False
+        vals = _freeze(np.clip(vals, 0.0, None))
         density = GridFunction(density.grid, vals)
         total = float(np.sum(trapezoid_weights(density.grid) * vals))
         if total <= 0:
@@ -271,8 +270,7 @@ class SimpleKernel:
             raise InvalidInputError("all kernel coefficients must be nonzero finite")
         if len({tuple(o) for o in offsets}) != len(offsets):
             raise InvalidInputError("cell offsets must be pairwise distinct")
-        for arr in (coeffs, offsets):
-            arr.flags.writeable = False
+        _freeze((coeffs, offsets))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offsets", offsets)
 

@@ -22,7 +22,6 @@ cannot reach the orthonormality tolerances with discontinuous bases.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     PreconditionError,
     SingularSystemError,
 )
-from .grids import _KEEP, Grid1D, GridFunction, _check_budget, _kept
+from .grids import Grid1D, GridFunction, _check_budget, _kept
 from .model import SimpleKernel, WeightH, e_factor, forward_g_transform
 
 __all__ = [
@@ -110,11 +109,8 @@ class HaarBasis:
 
     @_kept(lambda self, grid: self.m * grid.n)
     def _grid_values(self, grid: Grid1D) -> np.ndarray:
-        """:meth:`values` at the grid's nodes, read-only, kept as
-        grids._kept says, counting m values per node."""
-        values = self.values(grid.nodes())
-        values.flags.writeable = False
-        return values
+        """:meth:`values` at the grid's nodes, read-only."""
+        return self.values(grid.nodes())
 
     def combine(self, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_j coeffs_j psi_j from the (m, n) stack of :meth:`values` at
@@ -152,7 +148,7 @@ class EtaSystem:
         return float(np.dot(a, b) * self.basis.dx)
 
 
-@functools.lru_cache(maxsize=_KEEP)
+@_kept(lambda basis, kernel, h: basis.m * basis.n_cells)
 def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     """Construct the eta system and orthonormalise it.
 
@@ -160,11 +156,8 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
     coefficients and the contraction factor satisfies e(f, h) < 1.
     Gram-Schmidt is the QR factorisation of the sqrt(dx)-scaled samples,
     signed so that diag(mix) > 0; a diagonal entry below 1e-8 of the eta
-    norm raises a degeneracy error.
-
-    The system depends on the arguments alone: the systems of the last
-    _KEEP argument sets are kept and handed out again, with read-only
-    arrays, and a call that raises keeps nothing.
+    norm raises a degeneracy error.  The system is kept, with read-only
+    arrays.
     """
     pivot, q_idx, n1 = kernel.pivot_info(h)
     others = np.abs(np.delete(kernel.coeffs, q_idx))
@@ -187,8 +180,6 @@ def build_eta(basis: HaarBasis, kernel: SimpleKernel, h: WeightH) -> EtaSystem:
         )
     sign = np.sign(np.diag(mix))[:, None]
     e_values, mix = sign * q.T / np.sqrt(basis.dx), sign * mix
-    for arr in (eta, e_values, mix):
-        arr.flags.writeable = False
     return EtaSystem(basis=basis, pivot_value=pivot, n1=n1, h=h, e_contraction=e,
                      eta_values=eta, e_values=e_values, mix=mix)
 

@@ -25,7 +25,6 @@ import when called.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,9 @@ import numpy as np
 
 from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
 from .grids import (
-    _KEEP,
     Grid1D,
     GridFunction,
+    _kept,
     convolve,
     fourier_forward,
     symmetric_grid,
@@ -148,17 +147,15 @@ class SmoothingKernel:
         # Fejer tails decay like 1/(pi x^2 / b); this radius keeps ~1e-4 mass out
         return 6e3 * self.b
 
-    @functools.lru_cache(maxsize=_KEEP)
+    @_kept(lambda self, spacing, reach: 2 * min(reach, self.effective_radius() / spacing) + 1)
     def grid_function(self, spacing: float, reach: int) -> GridFunction:
         """Kernel taps at the nodes k * spacing, |k| <= reach, of the
         symmetric lattice grid over the effective radius r * spacing.
 
         The taps are divided by the trapezoid mass of the kernel over all
         2r + 1 nodes, so that they equal the same taps of the full-radius
-        kernel renormalised to unit discrete mass.  They depend on the
-        kernel and the arguments alone: the taps of the last _KEEP argument
-        sets are kept and handed out again, read-only, and a call that
-        raises keeps nothing.
+        kernel renormalised to unit discrete mass.  The taps are kept,
+        read-only.
         """
         radius_nodes = self.effective_radius() / spacing
         if not math.isfinite(radius_nodes):
@@ -176,9 +173,7 @@ class SmoothingKernel:
             full = self.density(grid.nodes())
             mass = float(np.sum(trapezoid_weights(grid) * full))
             taps = full[r - m:r + m + 1]
-        taps = taps / mass
-        taps.flags.writeable = False
-        return GridFunction(Grid1D(-m * spacing, m * spacing, 2 * m + 1), taps)
+        return GridFunction(Grid1D(-m * spacing, m * spacing, 2 * m + 1), taps / mass)
 
 
 def _fejer_mass(b: float, spacing: float, r: int) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import levyfield
-from levyfield import bench, grids, onb, smooth
+from levyfield import bench, grids, onb
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
@@ -162,6 +163,34 @@ def kept_caches():
                     yield member
 
 
+def kept_bindings():
+    """(owner, name, function) for each binding of a kept function: every
+    module attribute of levyfield that holds one, and the kept methods of
+    its classes, each once."""
+    seen = set()
+    for info in pkgutil.iter_modules(levyfield.__path__):
+        module = importlib.import_module(f"levyfield.{info.name}")
+        for name, obj in vars(module).items():
+            owners = [(module, {name: obj})]
+            if isinstance(obj, type):
+                owners.append((obj, vars(obj)))
+            for owner, members in owners:
+                for attr, member in members.items():
+                    if hasattr(member, "cache_info") and (id(owner), attr) not in seen:
+                        seen.add((id(owner), attr))
+                        yield owner, attr, member
+
+
+def arrays_in(value):
+    """The numpy arrays in a kept result: the value, the members of tuples
+    and the fields of dataclasses, recursively."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple) or dataclasses.is_dataclass(value):
+        for item in value if isinstance(value, tuple) else vars(value).values():
+            yield from arrays_in(item)
+
+
 def fresh_estimate(cfg, rep, sample=None):
     """The estimate of a run_pipeline call that finds nothing computed or
     kept before it, as in a fresh process; the shared sample and ECF
@@ -245,25 +274,19 @@ class TestSharing:
         cfg = small_cfg(method="plugin", jump_law=law, oracle_g1=True)
         out = run_pipeline(cfg, 0)
         assert run_pipeline(cfg, 1).truth is out.truth
-        taps = smooth.SmoothingKernel(cfg.smooth_family, cfg.bandwidth).grid_function(
-            out.truth.grid.spacing, out.truth.grid.n - 1)
         kernel = cfg.kernel_obj()
         # a type-2 NUFFT plan, on a grid whose centre is off 0 so that it keeps a phase
         targets = np.linspace(-3.0, 3.0, 50).tobytes()
-        cols, weights, phase = grids._interp_plan(Grid1D(-1.0, 2.0, 64), targets, 1.0)
-        for arr in (kernel.coeffs, kernel.offsets, cfg.law_obj().density_.values,
-                    out.truth.values, taps.values, cols, weights, phase):
+        _, _, phase = grids._interp_plan(Grid1D(-1.0, 2.0, 64), targets, 1.0, 50)
+        for arr in (kernel.coeffs, kernel.offsets, cfg.law_obj().density_.values, phase):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-        # the grid nodes and weights, the |u| <= pi l window, phase_sum's
-        # scatter, convolve's spectrum and the Haar values on the x-grid: on a
-        # second call of each config, every one is the object of the first call
-        spied = [(Grid1D, "nodes"), (grids, "trapezoid_weights"), (grids, "_scatter_plan"),
-                 (grids, "_symmetric_window"), (grids, "_kernel_spectrum"),
-                 (onb.HaarBasis, "_grid_values")]
-        results = {attr: [] for _, attr in spied}
-        for owner, attr in spied:
-            def spy(*args, _fn=getattr(owner, attr), _seen=results[attr]):
+        # every kept function: on a second call of each config, each of its
+        # results is the object of the first call, and every array in it is
+        # read-only
+        results = {}
+        for owner, attr, fn in kept_bindings():
+            def spy(*args, _fn=fn, _seen=results.setdefault(fn.__qualname__, [])):
                 _seen.append(_fn(*args))
                 return _seen[-1]
             monkeypatch.setattr(owner, attr, spy)
@@ -272,7 +295,7 @@ class TestSharing:
             for seen in results.values():
                 seen.clear()
             run_pipeline(cfg, rep)
-            return {attr: list(seen) for attr, seen in results.items()}
+            return {name: list(seen) for name, seen in results.items()}
 
         reached = set()
         for method in METHODS:
@@ -280,14 +303,36 @@ class TestSharing:
                 cfg = small_cfg(method=method, oracle_g1=oracle, smooth_family="bandlimited")
                 # the first call also builds the config's setup
                 first, second = kept_by_call(cfg, 0), kept_by_call(cfg, 1)
-                for attr, seen in second.items():
-                    where = (method, oracle, attr)
-                    assert all(any(a is b for b in first[attr]) for a in seen), where
-                    arrays = [a for r in seen for a in (r if isinstance(r, tuple) else (r,))
-                              if isinstance(a, np.ndarray)]
+                for name, seen in second.items():
+                    where = (method, oracle, name)
+                    assert all(any(a is b for b in first[name]) for a in seen), where
+                    arrays = [a for r in seen for a in arrays_in(r)]
                     assert not any(a.flags.writeable for a in arrays), where
-                    reached |= {attr} if seen else set()
+                    reached |= {name} if seen else set()
         assert reached == set(results)
+        assert {"_config_setup", "_series_plan", "build_eta", "_fine_grid", "_interp_plan",
+                "SmoothingKernel.grid_function"} <= reached
+
+    def test_one_off_large_grid_is_not_kept(self):
+        # 200,001 x-grid points: its truth, nodes, taps, spectrum and the 13
+        # blocks of type-2 plans of its inverse transform exceed the keep
+        # cap, so repeated calls keep none of them (36 MB stayed kept before)
+        import gc
+        import tracemalloc
+
+        cfg = section7_config("gaussian", "fourier", oracle_g1=True,
+                              smooth_family="bandlimited", grid_points=200_001)
+        for cache in kept_caches():
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            for rep in range(3):
+                run_pipeline(cfg, rep)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4e6
 
     @pytest.mark.parametrize("case", ["window past the u-grid", "spectrum over budget"])
     def test_kept_call_that_raises_keeps_nothing(self, monkeypatch, case):

@@ -112,6 +112,15 @@ class TestComputeEcf:
         y = np.random.default_rng(6).normal(size=2000)
         assert compute_ecf(GridSample(y), symmetric_grid(np.pi, 4097)).psi_hat.shape == (4097,)
 
+    def test_u_grid_past_the_keep_cap_keeps_no_fine_grid(self):
+        # the fine grid's kernel DFT is kept only for grids within the keep
+        # cap: at the grid budget one kept entry held 25e6 floats
+        y = np.random.default_rng(8).normal(size=200)
+        grid = symmetric_grid(np.pi, 2 * grids._SPREAD_BLOCK + 1)
+        grids._fine_grid.cache_clear()
+        assert compute_ecf(GridSample(y), grid).psi_hat.shape == (grid.n,)
+        assert grids._fine_grid.cache_info().currsize == 0
+
     @pytest.mark.parametrize("parity", [0, 1])
     @given(n_obs=st.integers(1, 3000), kind=st.sampled_from(["zeros", "normal", "tails"]),
            scale=st.floats(0.1, 200.0), seed=st.integers(0, 2 ** 32 - 1),

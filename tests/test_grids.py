@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -270,7 +273,7 @@ class TestInterpolatingNufft:
         [fine] = grids_seen
         for start in range(0, len(u), 16):
             block = slice(start, start + 16)
-            cols, weights, phase = grids._interp_plan(grid, u[block].tobytes(), sign)
+            cols, weights, phase = grids._interp_plan(grid, u[block].tobytes(), sign, len(u))
             width, n = cols.shape
             plan = csr_matrix((weights.T.ravel(), cols.T.ravel(),
                                np.arange(0, width * n + 1, width)), shape=(n, len(fine)))
@@ -324,6 +327,27 @@ def test_fine_grid_over_budget_refused():
     # 2^27 points for Fourier indices up to 2^25, refused before allocation
     with pytest.raises(ResourceLimitError, match="non-uniform FFT grid points"):
         _fine_grid(2 ** 25)
+
+
+def test_every_keep_goes_through_the_one_rule():
+    # a cache or a read-only flag outside grids._kept and grids._freeze would
+    # keep or freeze by a rule of its own
+    hits = []
+    for path in sorted(Path(grids.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                for name in {"lru_cache", "cache", "cached_property", "writeable",
+                             "setflags"}.intersection(names):
+                    hits.append((path.name, getattr(top, "name", None), name))
+    assert sorted(hits) == [("grids.py", "_freeze", "writeable"),
+                            ("grids.py", "_kept", "lru_cache")]
 
 
 class TestPlancherel:

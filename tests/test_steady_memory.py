@@ -1,0 +1,58 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run in a fresh interpreter: oracle Fourier ops (both laws, Fejer
+# smoothing), then six-cell Table 1 ops (one replication each), and report
+# the minor page faults of each op from getrusage.
+_SCRIPT = """
+import json, resource, sys
+from levyfield import bench
+from levyfield.config import section7_config
+
+laws = ("gaussian", "exponential")
+groups = {
+    "oracle": [section7_config(law, "fourier", oracle_g1=True, smooth_family="bandlimited")
+               for law in laws],
+    "table": [section7_config(law, method, master_seed=20259)
+              for law in laws for method in ("plugin", "fourier", "onb")],
+}
+counts = {}
+for name, n_ops in zip(groups, map(int, sys.argv[1:])):
+    counts[name] = []
+    for k in range(n_ops):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for cfg in groups[name]:
+            bench.run_pipeline(cfg, k)
+        counts[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(counts))
+"""
+
+# Median minor faults per op after the warm-up op.  Steady ops take about 0:
+# every array they free is reused from the heap.  A type-2 plan built
+# without freeing a large temporary leaves glibc's mmap and trim thresholds
+# low, and then each op's arrays are unmapped or trimmed and faulted back:
+# 128-476 faults per op on these ops, in every process.
+FAULTS_PER_OP = 40
+
+
+def _median_faults_per_op() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, "30", "15"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steady = {name: sorted(per_op[1:]) for name, per_op in json.loads(proc.stdout).items()}
+    return {name: per_op[len(per_op) // 2] for name, per_op in steady.items()}
+
+
+def test_steady_ops_fault_no_pages_back_in():
+    # a second process is run only if the first is over the bound: one fresh
+    # process in about 50 was seen over it with the code unchanged
+    runs = [_median_faults_per_op()]
+    if max(runs[0].values()) > FAULTS_PER_OP:
+        runs.append(_median_faults_per_op())
+    assert max(runs[-1].values()) <= FAULTS_PER_OP, runs
