@@ -16,7 +16,8 @@ additional phase factor.
 The first two sums are one type-1 non-uniform FFT of the sample,
 :func:`grids._nufft_sum`, on the half of the symmetric, odd-count u-grid,
 u_m = m du from u = 0; Hermitian symmetry gives the other half.  It runs
-in O(N * width + n_u log n_u) work instead of O(N n_u), and agrees with
+in O(N * terms + n_u log n_u) work instead of O(N n_u), terms = 13
+Chebyshev moments per observation and weight, and agrees with
 direct exponentials to about 1e-13 times the scale of the weights (1 for
 psi_hat, |Y| for theta_hat).  At u = 0 the sums are set to 1 and the
 sample mean.  The last line, like every method, reads Fg1_hat on the

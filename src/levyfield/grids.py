@@ -16,9 +16,11 @@ GridFunction) go through :func:`phase_sum`, the type-2 NUFFT, which
 takes one coefficient row, at any targets; one sample's scattered values
 go through :func:`_nufft_sum`, the type-1 NUFFT, which returns the ECF's
 two sums over it, of 1 and of Y, on its half-grid u_m = m du from
-u = 0.  Both serve every size from 2 sources or targets up and agree with
-the direct O(n*m) sum :func:`_direct_sum` to about 1e-13 of
-sum_j |c_j|; the direct sum is the tests' reference, and they pin 1e-10.
+u = 0; it spreads by per-cell Chebyshev moments of the sources, not by
+evaluating the kernel at each source's taps.  Both serve every size from
+2 sources or targets up and agree with the direct O(n*m) sum
+:func:`_direct_sum` to about 1e-13 of sum_j |c_j|; the direct sum is the
+tests' reference, and they pin 1e-10.
 Every spectral method reads F[g1] on one grid, the ECF's u-grid
 restricted to |u| <= pi l (:func:`_restrict_symmetric`, a view).
 Convolution is one circular FFT product (:func:`convolve`) of the
@@ -30,8 +32,9 @@ the origin.
 
 Work that depends on the config alone is kept, by one rule, :func:`_kept`:
 the series plans, ONB systems, smoothing taps and each pipeline's setup,
-and here the grids' nodes and trapezoid weights, the NUFFTs' fine grid and
-type-2 plans, the |u| <= pi l window and the convolution's spectrum.
+and here the grids' nodes and trapezoid weights, the NUFFTs' fine grid,
+type-1 cell series and type-2 plans, the |u| <= pi l window and the
+convolution's spectrum.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ _MAX_CELLS = 50_000_000
 # the non-uniform FFT: with beta = 2.30 * width and oversampling 2 it leaves
 # a relative error near 1e-14.
 _ES_WIDTH = 16
-# sources spread per pass of the type-1 NUFFT, targets per plan of the
+# sources spread per block of the type-1 NUFFT, targets per plan of the
 # type-2 NUFFT, and the most points a kept result holds (:func:`_kept`);
-# bounds the type-1 per-tap scratch at under 1 MB and a type-2 plan at
+# bounds the type-1 per-block scratch, eight rows of the block and the
+# moments of its occupied nodes, at about 1.4 MB, and a type-2 plan at
 # 4.5 MB, while each numpy call still covers many points
 _SPREAD_BLOCK = 1 << 14
 # Largest |position|, in fine-grid points, that either NUFFT places: past 2^52
@@ -74,6 +78,11 @@ _SPREAD_BLOCK = 1 << 14
 _MAX_POSITION = 2.0 ** 52
 # argument sets whose results each kept function keeps (:func:`_kept`)
 _KEEP = 8
+# Chebyshev terms of each tap's kernel series on one fine-grid cell
+# (:func:`_cell_series`): the fewest within 1e-14 of the kernel's peak, the
+# kernel's own error, so that the series adds none of its own (13 terms give
+# 9.4e-15; 12 give 4.6e-14 and 11 give 1.1e-12)
+_CELL_TERMS = 13
 
 
 def _freeze(value):
@@ -267,6 +276,43 @@ def _tap_nodes(t: np.ndarray, m_r: int) -> np.ndarray:
     return base.astype(np.int64) & (m_r - 1)
 
 
+@_kept(lambda: _ES_WIDTH * _CELL_TERMS)
+def _cell_series() -> np.ndarray:
+    """The (_ES_WIDTH, _CELL_TERMS) Chebyshev coefficients C of the kernel's
+    taps on one fine-grid cell: a source f in [0, 1) grid points past its
+    node gives tap tau, at the node tau - half + 1 from it, the kernel value
+    _es_kernel((tau - half + 1 - f) / half) = sum_d C[tau, d] T_d(2 f - 1).
+    Each row interpolates its tap at the _CELL_TERMS Chebyshev points of the
+    first kind, by the cosine sum of the discrete Chebyshev transform."""
+    n, half = _CELL_TERMS, _ES_WIDTH // 2
+    k = np.arange(n) + 0.5
+    f = (np.cos(np.pi / n * k) + 1) / 2
+    values = _es_kernel(np.subtract.outer(np.arange(_ES_WIDTH) - (half - 1.0), f) / half)
+    coef = values @ np.cos(np.pi / n * np.outer(k, np.arange(n))) * (2 / n)
+    coef[:, 0] /= 2
+    return coef
+
+
+def _cell_moments(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The Chebyshev moments M[0, d, b] = sum_j T_d(x_j) and
+    M[1, d, b] = sum_j y_j T_d(x_j), d < _CELL_TERMS, over the runs
+    j = first[b] .. first[b + 1] - 1 of sources sorted by node, as a
+    (2, _CELL_TERMS, len(first)) array.  T_d comes from the three-term
+    recurrence, two rows at a time; x is overwritten."""
+    moments = np.empty((2, _CELL_TERMS, len(first)))
+    lower, upper = np.ones_like(x), x.copy()
+    x *= 2
+    scratch = np.empty_like(x)
+    for d in range(_CELL_TERMS):
+        # lower is T_d and upper T_{d+1}; T_{d+2} = 2 x T_{d+1} - T_d
+        np.add.reduceat(lower, first, out=moments[0, d])
+        np.multiply(lower, y, out=scratch)
+        np.add.reduceat(scratch, first, out=moments[1, d])
+        np.multiply(x, upper, out=scratch)
+        lower, upper = upper, np.subtract(scratch, lower, out=lower)
+    return moments
+
+
 def _nufft_sum(y: np.ndarray, du: float, n_u: int, sign: float) -> np.ndarray:
     """Type-1 (spreading) non-uniform FFT of one sample: the two sums
     sum_j exp(sign * i * u_m * y_j) and sum_j y_j exp(sign * i * u_m * y_j)
@@ -279,32 +325,48 @@ def _nufft_sum(y: np.ndarray, du: float, n_u: int, sign: float) -> np.ndarray:
     :func:`_fine_grid`, one real FFT per row gives the kernel-weighted
     coefficients, and dividing by the DFT of the sampled kernel recovers
     S(m) (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5),
-    2019).  Spreading runs tap-major over blocks of _SPREAD_BLOCK sources:
-    tap tau adds one bincount of the kernel values and one of the kernel
-    values times y at offset tau.  It agrees with :func:`_direct_sum` to
-    about 1e-13 of sum_j |w_j|, and tests/test_ecf.py pins 1e-10 for both
-    signs from 2 targets up.
+    2019).  Spreading runs cell by cell over blocks of _SPREAD_BLOCK
+    sources.  On one grid cell each tap's kernel value is a Chebyshev
+    series in the source's offset (:func:`_cell_series`), so a block, sorted
+    by node, sums the Chebyshev moments of each occupied node
+    (:func:`_cell_moments`), and one (_ES_WIDTH, _CELL_TERMS) product per
+    row gives every tap's spread value: no exp or sqrt per source.  It
+    agrees with :func:`_direct_sum` to about 1e-13 of sum_j |w_j|, and
+    tests/test_ecf.py pins 1e-10 for both signs from 2 targets up.
     """
     m_r, kernel_dft = _fine_grid(n_u - 1)
     half = _ES_WIDTH // 2
+    series = _cell_series()
+    taps = np.arange(_ES_WIDTH)[:, None]
     # Source j sits at t_j = -du x_j / h grid points, h = 2 pi / m_r, so that
     # the forward FFT's e^{-i m n h} gives e^{+i m du x_j}.  Its taps are the
     # nodes floor(t_j) - half + 1 + tau, tau = 0 .. _ES_WIDTH - 1 (mod m_r);
     # node n is stored at index n + half - 1 of a grid padded by half - 1
     # points below node 0 and half points above node m_r - 1, so tap tau of
     # a source whose floor(t_j) is b (mod m_r) lands at index b + tau.
-    offsets = (np.arange(_ES_WIDTH) - (half - 1)) / half
     spread = np.zeros((2, m_r + _ES_WIDTH - 1))
     for start in range(0, len(y), _SPREAD_BLOCK):
         yb = y[start:start + _SPREAD_BLOCK]
         with np.errstate(over="ignore"):  # an infinite position is refused below
             t = yb * (-sign * du * m_r / (2 * np.pi))
         node = _tap_nodes(t, m_r)
-        for tau, offset in enumerate(offsets):
-            kern = _es_kernel(offset - t)
-            spread[0, tau:tau + m_r] += np.bincount(node, weights=kern, minlength=m_r)
-            kern *= yb
-            spread[1, tau:tau + m_r] += np.bincount(node, weights=kern, minlength=m_r)
+        # a stable sort by node, a radix sort when a 16-bit key holds the span
+        key = node - node.min()
+        if key.max() < 1 << 15:
+            key = key.astype(np.int16)
+        order = np.argsort(key, kind="stable")
+        node = node[order]
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        x = t[order]
+        x *= _ES_WIDTH  # 2 (offset past the node) - 1, in [-1, 1)
+        x -= 1.0
+        moments = _cell_moments(x, yb[order], first)
+        # the taps of the occupied nodes, from the lowest node's first tap on
+        lo = node[0]
+        cols = (node[first] - lo + taps).ravel()
+        for row, moment in zip(spread, moments):
+            added = np.bincount(cols, weights=(series @ moment).ravel())
+            row[lo:lo + len(added)] += added
     # fold the overhangs onto the periodic grid of nodes 0 .. m_r - 1
     grid = spread[:, half - 1:m_r + half - 1]
     grid[:, m_r - half + 1:] += spread[:, :half - 1]

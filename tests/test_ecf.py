@@ -130,6 +130,9 @@ class TestComputeEcf:
     @example(n_obs=500, kind="zeros", scale=1.0, seed=0, du=0.01, half=200, sign=-1.0)
     @example(n_obs=7, kind="normal", scale=1.0, seed=0, du=0.05, half=1, sign=1.0)
     @example(n_obs=3000, kind="tails", scale=200.0, seed=1, du=1e-3, half=1, sign=-1.0)
+    # the benchmark's shape: the onb cell's u-grid (l = 4.5) and Y of scale 2
+    @example(n_obs=3000, kind="normal", scale=2.0, seed=0, du=4.5 * np.pi / 2048, half=1024,
+             sign=1.0)
     @settings(max_examples=30, deadline=None)
     def test_nufft_matches_direct_sums(self, parity, n_obs, kind, scale, seed, du, half, sign):
         # the type-1 path: the ECF's sums of 1 and Y, each over N, on
@@ -151,6 +154,41 @@ class TestComputeEcf:
         err = np.max(np.abs(fast - ref), axis=1)
         assert err[0] <= 1e-10
         assert err[1] <= 1e-10 * max(1.0, np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nodes_past_a_16_bit_span(self, sign):
+        # 2^16 fine-grid points, and sources of both signs whose nodes span
+        # more than 2^15 of them: a block's sort key must not be cut to 16 bits
+        n_u, du = 16385, 0.05
+        y = np.random.default_rng(9).uniform(-50.0, 50.0, 500)
+        m_r, _ = grids._fine_grid(n_u - 1)
+        node = np.floor(-sign * du * m_r / (2 * np.pi) * y).astype(np.int64) & (m_r - 1)
+        assert m_r == 1 << 16 and np.ptp(node) >= 1 << 15
+        u = du * np.arange(n_u)
+        fast = grids._nufft_sum(y, du, n_u, sign) / len(y)
+        ref = _direct_sum(np.stack([np.ones_like(y), y]) / len(y), y, u, sign)
+        err = np.max(np.abs(fast - ref), axis=1)
+        assert err[0] <= 1e-10
+        assert err[1] <= 1e-10 * np.max(np.abs(y))
+
+    def test_spreading_holds_no_moment_matrix(self):
+        # per block of _SPREAD_BLOCK sources, spreading holds a few rows of
+        # the block (the sort, the sorted offsets and weights, two Chebyshev
+        # rows and one scratch row) and the moments of the occupied nodes,
+        # never the moments of every source: a (2 _CELL_TERMS, _SPREAD_BLOCK)
+        # array alone is 3.4 MB.  The measured peak is 1.4 MB.
+        import tracemalloc
+
+        y = 2.0 * np.random.default_rng(10).normal(size=2 * grids._SPREAD_BLOCK + 1)
+        du = 4.5 * np.pi / 2048
+        grids._nufft_sum(y, du, 2049, 1.0)
+        tracemalloc.start()
+        try:
+            grids._nufft_sum(y, du, 2049, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * grids._SPREAD_BLOCK
 
 
 class TestPhaseSumRoute:

@@ -323,6 +323,24 @@ def test_position_past_bound_refused_before_cast(cast, far):
             phase_sum(np.ones(40), Grid1D(-1.0, 1.0, 40), np.append(u, far))
 
 
+def test_cell_series_fits_every_tap():
+    # each tap's Chebyshev series is within 1e-14 of the kernel's peak, 1, on
+    # a dense grid of its cell, and is the Chebyshev interpolant of the tap
+    from numpy.polynomial import chebyshev
+
+    half = grids._ES_WIDTH // 2
+    coef = grids._cell_series()
+    assert coef.shape == (grids._ES_WIDTH, grids._CELL_TERMS)
+    f = np.linspace(0.0, 1.0, 20001)
+    taps = np.arange(grids._ES_WIDTH) - (half - 1.0)
+    exact = grids._es_kernel(np.subtract.outer(taps, f) / half)
+    assert np.max(np.abs(chebyshev.chebval(2 * f - 1, coef.T) - exact)) <= 1e-14
+    for tap, row in zip(taps, coef):
+        ref = chebyshev.chebinterpolate(
+            lambda x: grids._es_kernel((tap - (x + 1) / 2) / half), grids._CELL_TERMS - 1)
+        assert np.max(np.abs(row - ref)) <= 1e-15
+
+
 def test_fine_grid_over_budget_refused():
     # 2^27 points for Fourier indices up to 2^25, refused before allocation
     with pytest.raises(ResourceLimitError, match="non-uniform FFT grid points"):
