@@ -8,7 +8,8 @@ The Fourier convention is
 
 so that Plancherel reads ||F f||_2^2 = 2 pi ||f||_2^2.
 
-Quadrature is composite trapezoid.  Every transform of the package (and
+Quadrature on grids is composite trapezoid, and off them one fixed
+Gauss-Legendre rule on panels (:func:`_gauss_panels`).  Every transform of the package (and
 the empirical characteristic function) is one exponential sum
 sum_j c_j exp(+-i u_k x_j), by one of two non-uniform FFTs chosen by the
 kind of its sources.  Sources on a Grid1D (every transform of a
@@ -83,6 +84,9 @@ _KEEP = 8
 # kernel's own error, so that the series adds none of its own (13 terms give
 # 9.4e-15; 12 give 4.6e-14 and 11 give 1.1e-12)
 _CELL_TERMS = 13
+# Gauss-Legendre nodes per panel of :func:`_gauss_panels`, exact to degree 39;
+# each caller lays panels on which its integrand is smooth at the panel's scale
+_GAUSS_NODES = 20
 
 
 def _freeze(value):
@@ -213,6 +217,16 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def _gauss_panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GAUSS_NODES``-point Gauss-Legendre rule
+    on each panel [edges[i], edges[i + 1]], flattened."""
+    from numpy.polynomial.legendre import leggauss
+
+    t, w = leggauss(_GAUSS_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1 + t)).ravel(), (half * w).ravel()
 
 
 def l2_norm(f: GridFunction) -> float:

@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     SingularRecoveryError,
 )
-from .grids import GridFunction, _freeze, phase_sum, trapezoid_weights
+from .grids import GridFunction, _freeze, _gauss_panels, phase_sum, trapezoid_weights
 
 __all__ = [
     "JumpLaw",
@@ -171,24 +171,22 @@ class JumpLaw:
     def _integral(self, fn, a: float, b: float) -> float:
         """integral fn(x) v0(x) dx over [a, b] intersected with the support.
 
-        ``fn`` is vectorised.  Tables take a dense trapezoid rule, because
-        adaptive quadrature converges poorly on their piecewise-linear
-        interpolant; closed-form densities take ``scipy.integrate.quad``,
-        imported here, since no pipeline integrates against v0.
+        ``fn`` is vectorised.  One rule for every law: Gauss-Legendre panels
+        at a table's nodes, exact on its interpolant for a polynomial ``fn``,
+        and otherwise no wider than the law's scale.
         """
         lo, hi = self.support_bounds()
         a, b = max(a, lo), min(b, hi)
         if a >= b:
             return 0.0
         if self.kind == "tabulated":
-            step = self.density_.grid.spacing / 4
-            xs = np.linspace(a, b, max(9, int(np.ceil((b - a) / step)) + 1))
-            return float(np.trapezoid(fn(xs) * self.pdf(xs), xs))
-        from scipy import integrate
-
-        val, _ = integrate.quad(lambda x: float(fn(np.array([x]))[0]) * float(self.pdf(x)),
-                                a, b, limit=200)
-        return val
+            nodes = self.density_.grid.nodes()
+            edges = np.concatenate([[a], nodes[(nodes > a) & (nodes < b)], [b]])
+        else:
+            scale = self.sd_ if self.kind == "gaussian" else 1.0 / self.rate_
+            edges = np.linspace(a, b, math.ceil((b - a) / scale) + 1)
+        x, w = _gauss_panels(edges)
+        return float(np.sum(w * fn(x) * self.pdf(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ effective radius.  For the Fejer kernel that mass has a closed form
 coarser than pi b, sum it over the full-radius grid.  The taps are kept
 (:meth:`SmoothingKernel.grid_function`), and :func:`grids.convolve` keeps
 their spectrum and its FFT length, so smoothing an estimate takes two
-FFTs, of the estimate and of the product.  Only the quadrature
-checks :func:`a_delta` and :func:`k1_mass_error` use scipy, which they
-import when called.
+FFTs, of the estimate and of the product.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .errors import DivergentBoundError, InvalidInputError, ResourceLimitError
 from .grids import (
     Grid1D,
     GridFunction,
+    _gauss_panels,
     _kept,
     convolve,
     fourier_forward,
@@ -238,12 +237,16 @@ def a_delta(b: float, delta: float, c1: float) -> float:
         raise InvalidInputError("bandwidth must lie in (0, 1)")
     if c1 <= 0:
         raise InvalidInputError("c1 must be positive")
-    from scipy import integrate
-
-    inner, _ = integrate.quad(lambda x: (b * x) ** 4 * (1 + x * x) ** (-delta),
-                              0.0, 1.0 / b, limit=200)
-    outer, _ = integrate.quad(lambda x: (1 + x * x) ** (-delta),
-                              1.0 / b, np.inf, limit=200)
+    # inner on panels [0, 1], [1, 2], [2, 4], ... up to 1/b; outer, after
+    # x = s^-p with p = 1/(2 delta - 1), is p integral_0^{b^(1/p)}
+    # (1 + s^(2p))^-delta ds, bounded, on panels that halve towards 0
+    big = 1.0 / b
+    edges = np.minimum(2.0 ** np.arange(math.ceil(math.log2(big)) + 1), big)
+    x, w = _gauss_panels(np.append(0.0, edges))
+    inner = float(np.sum(w * (b * x) ** 4 * (1 + x * x) ** (-delta)))
+    p = 1.0 / (2 * delta - 1)
+    s, w = _gauss_panels(np.append(0.0, b ** (2 * delta - 1) * 2.0 ** np.arange(-60.0, 1.0)))
+    outer = p * float(np.sum(w * (1 + s ** (2 * p)) ** (-delta)))
     val = c1 / (2 * math.pi) * 2.0 * (inner + outer)
     return val ** 0.25
 
@@ -263,20 +266,19 @@ def check_k3(family: str) -> tuple[bool, float]:
 
 
 def k1_mass_error(family: str, b: float) -> float:
-    """|integral K_b - 1| by quadrature (closed antiderivative via the sine
-    integral for the slowly decaying Fejer density)."""
-    from scipy import integrate, special
-
+    """|integral K_b - 1|, the density summed on unit-bandwidth panels of
+    [-R, R]; the Fejer density's mass beyond R = 400 b is added in closed
+    form, 1 - (2/pi) [Si(t) - (1 - cos t) / t] at t = R / b."""
     kern = SmoothingKernel(family, b)
-    if family == "gaussian":
-        mass, _ = integrate.quad(kern.density, -12 * b, 12 * b, limit=200)
-    elif family == "epanechnikov":
-        mass, _ = integrate.quad(kern.density, -b, b, limit=200)
-    else:
-        # integral_{-R}^{R} K_b = (2/pi) [Si(R/b) - (1 - cos(R/b)) / (R/b)]
-        big = 1e9
-        si, _ci = special.sici(big)
-        mass = (2 / math.pi) * (si - (1 - math.cos(big)) / big)
+    radius = {"gaussian": 12, "epanechnikov": 1, "bandlimited": 400}[family]
+    x, w = _gauss_panels(b * np.arange(-radius, radius + 1.0))
+    mass = float(np.sum(w * kern.density(x)))
+    if family == "bandlimited":
+        # Si(t) = pi/2 - f cos t - g sin t, four terms of each asymptotic series
+        t = float(radius)
+        f = (1 - 2 / t ** 2 + 24 / t ** 4 - 720 / t ** 6) / t
+        g = (1 - 6 / t ** 2 + 120 / t ** 4 - 5040 / t ** 6) / t ** 2
+        mass += (2 / math.pi) * (f * math.cos(t) + g * math.sin(t) + (1 - math.cos(t)) / t)
     return abs(mass - 1.0)
 
 

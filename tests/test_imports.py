@@ -6,12 +6,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Run in a fresh interpreter: imports every levyfield module, simulates
-# through the CLI and runs one oracle band-limited pipeline, then reports the
-# scipy modules loaded; then runs one six-cell Table 1 replication and
-# estimates from the simulated sample through the CLI, and reports them again.
+# Run in a fresh interpreter, with `import scipy` raising when the first
+# argument is "block": imports every levyfield module, simulates through the
+# CLI and runs one oracle band-limited pipeline, then records the scipy
+# modules loaded; then runs one six-cell Table 1 replication and estimates
+# from the simulated sample through the CLI with each method, and records
+# the scipy modules and whether numpy.polynomial is loaded; then runs the
+# remaining CLI subcommands.  Prints one JSON object: those records and the
+# exit code of every CLI subcommand.
 _SCRIPT = """
-import importlib, json, pkgutil, sys
+import contextlib, importlib, io, json, pkgutil, sys, warnings
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+mode, cfg_path, sample_path = sys.argv[1:]
+if mode == "block":
+    sys.meta_path.insert(0, NoScipy())
+warnings.simplefilter("ignore")
+
 import levyfield
 
 def scipy_modules():
@@ -22,32 +38,52 @@ for mod in pkgutil.iter_modules(levyfield.__path__):
 from levyfield import bench, cli
 from levyfield.config import section7_config
 
-cfg_path, sample_path = sys.argv[1:]
+codes = {}
+
+def run(name, *argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = cli.main(list(argv))
+
 with open(cfg_path, "w") as fh:
     json.dump(section7_config("gaussian", "onb", window=[20, 20]).to_dict(), fh)
-assert cli.main(["simulate", "--config", cfg_path, "--out", sample_path]) == 0
+run("simulate", "simulate", "--config", cfg_path, "--out", sample_path)
 bench.run_pipeline(section7_config("exponential", "onb", oracle_g1=True,
                                    smooth_family="bandlimited"), 0)
-print(json.dumps(scipy_modules()))
+before = scipy_modules()
 for law in ("gaussian", "exponential"):
     for method in ("plugin", "fourier", "onb"):
         bench.run_pipeline(section7_config(law, method), 0)
 for method in ("plugin", "fourier", "onb"):
-    assert cli.main(["estimate", "--method", method, "--config", cfg_path,
-                     "--sample", sample_path, "--out", sample_path + ".est"]) == 0
-print(json.dumps(scipy_modules()))
+    run("estimate " + method, "estimate", "--method", method, "--config", cfg_path,
+        "--sample", sample_path, "--out", sample_path + ".est")
+after = scipy_modules()
+polynomial = "numpy.polynomial" in sys.modules
+run("bench", "bench", "--config", cfg_path, "--reps", "2", "--out", sample_path + ".bench")
+for suite in ("kernels", "fixed-point", "onb", "appendix-rates"):
+    run("validate " + suite, "validate", "--suite", suite, "--reps", "2")
+print(json.dumps({"before": before, "after": after, "polynomial": polynomial,
+                  "codes": codes, "scipy": scipy_modules()}))
 """
+
+
+def _run(mode: str, tmp_path: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, mode, str(tmp_path / "cfg.json"),
+                           str(tmp_path / "sample.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_import_footprint(tmp_path):
     # numpy alone at import, in the CLI's simulation, in the oracle
-    # pipelines, in the estimated Table 1 pipelines and in the CLI's estimates
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path / "cfg.json"),
-                           str(tmp_path / "sample.csv")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    before, after = [json.loads(line) for line in proc.stdout.splitlines()
-                     if line.startswith("[")]
-    assert before == []
-    assert after == []
+    # pipelines, in the estimated Table 1 pipelines and in the CLI's
+    # estimates, which load no numpy.polynomial either; with scipy blocked,
+    # every CLI subcommand exits as it does with scipy importable
+    blocked = _run("block", tmp_path)
+    assert blocked["before"] == []
+    assert blocked["after"] == []
+    assert not blocked["polynomial"]
+    assert blocked["scipy"] == []
+    assert len(blocked["codes"]) == 9
+    assert blocked["codes"] == _run("free", tmp_path)["codes"]

@@ -41,12 +41,12 @@ class TestJumpLaw:
         law = JumpLaw.gaussian(mean=0.3, sd=0.8)
         for r in (1, 2, 3, 4):
             got = law._integral(lambda x: x ** r, -np.inf, np.inf)
-            assert got == pytest.approx(stats.norm(0.3, 0.8).moment(r), abs=1e-9)
+            assert got == pytest.approx(stats.norm(0.3, 0.8).moment(r), rel=1e-13)
 
     def test_exponential_moments(self, exponential_law):
         for r in (1, 2, 3, 4):
             got = exponential_law._integral(lambda x: x ** r, -np.inf, np.inf)
-            assert got == pytest.approx(stats.expon.moment(r), abs=1e-9)
+            assert got == pytest.approx(stats.expon.moment(r), rel=1e-13)
 
     def test_tabulated_matches_source(self):
         g = Grid1D(-8, 8, 2001)
@@ -55,6 +55,22 @@ class TestJumpLaw:
         assert float(law.pdf(0.5)) == pytest.approx(float(phi(0.5)), rel=1e-5)
         assert complex(law.char_fn(np.array([1.0]))[0]) == pytest.approx(
             np.exp(-0.5), abs=1e-5)
+
+    @pytest.mark.parametrize("a,b", [(0.1, 3.9), (-3.3, 2.7)])
+    def test_tabulated_first_moment_is_exact(self, a, b):
+        # integral x v0(x) dx of the piecewise-linear table, cell by cell:
+        # on v0 = c + s x it is c (hi^2 - lo^2) / 2 + s (hi^3 - lo^3) / 3
+        xs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+        ys = np.array([0.05, 0.2, 0.3, 0.2, 0.05])
+        law = JumpLaw.tabulated(GridFunction(Grid1D(-4, 4, 5), ys))
+        want = 0.0
+        for x0, x1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+            lo, hi = max(a, x0), min(b, x1)
+            if lo < hi:
+                s = (y1 - y0) / (x1 - x0)
+                c = y0 - s * x0
+                want += c * (hi ** 2 - lo ** 2) / 2 + s * (hi ** 3 - lo ** 3) / 3
+        assert law.partial_first_moment(a, b) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("law_name,cdf", [
         ("gaussian", stats.norm.cdf),

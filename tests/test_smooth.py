@@ -26,6 +26,7 @@ from levyfield.smooth import (
     smooth,
 )
 from levyfield.smooth import _fejer_mass, _trigamma
+from oracles import a_delta_closed_form
 
 
 def g0_gauss(x):
@@ -42,7 +43,17 @@ class TestSmoothingKernel:
     @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "bandlimited"])
     def test_k1_unit_mass(self, family):
         for b in (0.25, 0.5, 1.0):
-            assert k1_mass_error(family, b) <= 1e-8
+            assert k1_mass_error(family, b) <= 1e-14
+
+    @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "bandlimited"])
+    def test_k1_sums_the_implemented_density(self, family, monkeypatch):
+        # the check integrates SmoothingKernel.density, so a density off by
+        # 1e-6 of its mass fails it
+        density = SmoothingKernel.density
+        monkeypatch.setattr(SmoothingKernel, "density",
+                            lambda self, x: (1 + 1e-6) * density(self, x))
+        for b in (0.25, 0.5, 1.0):
+            assert k1_mass_error(family, b) > 1e-8
 
     @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "bandlimited"])
     def test_k2_uniform_transform_bound(self, family):
@@ -228,6 +239,12 @@ class TestADelta:
         vals = np.array([a_delta(b, 2.5, 1.0) for b in bs])
         slope = np.polyfit(np.log(bs), np.log(vals), 1)[0]
         assert 0.9 <= slope <= 1.1
+
+    @pytest.mark.parametrize("delta", [0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("b", [1e-3, 1.78e-3, 1e-2, 0.1, 0.5, 0.9])
+    def test_matches_closed_form(self, b, delta):
+        assert a_delta(b, delta, 1.3) == pytest.approx(a_delta_closed_form(b, delta, 1.3),
+                                                       rel=1e-10)
 
     def test_divergent_for_small_delta(self):
         with pytest.raises(DivergentBoundError):
