@@ -84,8 +84,7 @@ _KEEP = 8
 # kernel's own error, so that the series adds none of its own (13 terms give
 # 9.4e-15; 12 give 4.6e-14 and 11 give 1.1e-12)
 _CELL_TERMS = 13
-# Gauss-Legendre nodes per panel of :func:`_gauss_panels`, exact to degree 39;
-# each caller lays panels on which its integrand is smooth at the panel's scale
+# Gauss-Legendre nodes per panel of :func:`_gauss_panels`, exact to degree 39
 _GAUSS_NODES = 20
 
 
@@ -221,12 +220,13 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
 
 def _gauss_panels(edges) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``_GAUSS_NODES``-point Gauss-Legendre rule
-    on each panel [edges[i], edges[i + 1]], flattened."""
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(_GAUSS_NODES)
+    on each panel [edges[i], edges[i + 1]], flattened.  On [-1, 1] the nodes
+    are the eigenvalues of the Legendre recurrence's Jacobi matrix and the
+    weights twice their eigenvectors' squared first components (Golub-Welsch)."""
+    k = np.arange(1.0, _GAUSS_NODES)
+    t, v = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
     half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1 + t)).ravel(), (half * w).ravel()
+    return (edges[:-1, None] + half * (1 + t)).ravel(), (half * 2 * v[0] ** 2).ravel()
 
 
 def l2_norm(f: GridFunction) -> float:

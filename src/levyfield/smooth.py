@@ -237,11 +237,9 @@ def a_delta(b: float, delta: float, c1: float) -> float:
         raise InvalidInputError("bandwidth must lie in (0, 1)")
     if c1 <= 0:
         raise InvalidInputError("c1 must be positive")
-    # inner on panels [0, 1], [1, 2], [2, 4], ... up to 1/b; outer, after
-    # x = s^-p with p = 1/(2 delta - 1), is p integral_0^{b^(1/p)}
-    # (1 + s^(2p))^-delta ds, bounded, on panels that halve towards 0
-    big = 1.0 / b
-    edges = np.minimum(2.0 ** np.arange(math.ceil(math.log2(big)) + 1), big)
+    # inner on panels [0, 1], [1, 2], [2, 4], ... up to 1/b; outer, by x = s^-p with
+    # p = 1/(2 delta - 1), the bounded p integral_0^{b^(1/p)} (1 + s^(2p))^-delta ds
+    edges = np.minimum(2.0 ** np.arange(math.ceil(-math.log2(b)) + 1), 1.0 / b)
     x, w = _gauss_panels(np.append(0.0, edges))
     inner = float(np.sum(w * (b * x) ** 4 * (1 + x * x) ** (-delta)))
     p = 1.0 / (2 * delta - 1)
@@ -266,16 +264,14 @@ def check_k3(family: str) -> tuple[bool, float]:
 
 
 def k1_mass_error(family: str, b: float) -> float:
-    """|integral K_b - 1|, the density summed on unit-bandwidth panels of
-    [-R, R]; the Fejer density's mass beyond R = 400 b is added in closed
-    form, 1 - (2/pi) [Si(t) - (1 - cos t) / t] at t = R / b."""
+    """|integral K_b - 1|, the density summed on [-t b, t b] in panels of width
+    b, and the Fejer density's mass beyond, 1 - (2/pi) [Si(t) - (1 - cos t) / t]."""
     kern = SmoothingKernel(family, b)
-    radius = {"gaussian": 12, "epanechnikov": 1, "bandlimited": 400}[family]
-    x, w = _gauss_panels(b * np.arange(-radius, radius + 1.0))
+    t = {"gaussian": 12, "epanechnikov": 1, "bandlimited": 400}[family]
+    x, w = _gauss_panels(b * np.arange(-t, t + 1.0))
     mass = float(np.sum(w * kern.density(x)))
     if family == "bandlimited":
         # Si(t) = pi/2 - f cos t - g sin t, four terms of each asymptotic series
-        t = float(radius)
         f = (1 - 2 / t ** 2 + 24 / t ** 4 - 720 / t ** 6) / t
         g = (1 - 6 / t ** 2 + 120 / t ** 4 - 5040 / t ** 6) / t ** 2
         mass += (2 / math.pi) * (f * math.cos(t) + g * math.sin(t) + (1 - math.cos(t)) / t)
