@@ -18,6 +18,8 @@ Groups:
 - the six cells with the exact g1 and band-limited (Fejer) smoothing;
 - the six cells on a 300x300 window;
 - a CLI ``simulate`` / ``estimate`` round trip per cell;
+- a 1-d and a 3-d sample of fixed values written and read back, which
+  covers the sample writer in the dimensions the Section 7 cells do not;
 - a 5-node and a 41-node tabulated jump law, each plain and with the
   exact g1, for every method;
 - the six cells with ``grid_points`` = 8 and ``"bandwidth": "auto"``;
@@ -45,6 +47,7 @@ import numpy as np
 from levyfield import cli
 from levyfield.bench import run_pipeline
 from levyfield.config import ExperimentConfig, section7_config
+from levyfield.simulate import GridSample, read_sample_csv, write_sample_csv
 
 LAWS = ("gaussian", "exponential")
 METHODS = ("plugin", "fourier", "onb")
@@ -94,6 +97,20 @@ def _cli_digest() -> str:
     return h.hexdigest()
 
 
+def _sample_csv_digest() -> str:
+    """sha256 over the CSV bytes of fixed 1-d and 3-d samples and the values read back."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        for shape in ((5000,), (3, 4, 500)):
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            write_sample_csv(GridSample(values), path)
+            h.update(path.read_bytes())
+            h.update(read_sample_csv(path).values.tobytes())
+    return h.hexdigest()
+
+
 def _tabulated(n: int) -> dict:
     x = np.linspace(-4.0, 4.0, n)
     return {"kind": "tabulated", "x": x.tolist(),
@@ -117,6 +134,7 @@ def groups():
         ("window 300x300", lambda: _pipeline_digest(
             (section7_config(law, method, window=[300, 300]), 0) for law, method in CELLS)),
         ("cli round trip", _cli_digest),
+        ("sample csv 1-d 3-d", _sample_csv_digest),
         ("tabulated 5-node", lambda: _pipeline_digest(_tabulated_runs(5))),
         ("tabulated 41-node", lambda: _pipeline_digest(_tabulated_runs(41))),
         ("grid_points 8 auto", lambda: _pipeline_digest(

@@ -58,7 +58,7 @@ from .model import (
     forward_levy_density,
     fourier_g1_model,
 )
-from .simulate import sample_field
+from .simulate import _repr_rows, sample_field
 from .smooth import SmoothingKernel, a_delta, check_k3, k1_mass_error, select_bandwidth, smooth
 
 __all__ = [
@@ -326,11 +326,14 @@ def emit_results_csv(path, results: list[BenchResult]) -> None:
 
 def emit_estimate_csv(path, estimate: GridFunction, truth: GridFunction) -> None:
     """`x,g0_true,g0_hat` on the estimate's grid, in csv.writer's format:
-    the repr of each value, lines ended by CRLF."""
+    the repr of each value, lines ended by CRLF.  All rows are formatted
+    at once, through one %-template filled with the interleaved columns."""
     columns = (estimate.grid.nodes().tolist(), truth.values.tolist(), estimate.values.tolist())
+    values = [None] * (3 * len(columns[0]))
+    values[0::3], values[1::3], values[2::3] = columns
     with open(path, "w", newline="") as fh:
         fh.write("x,g0_true,g0_hat\r\n")
-        fh.write("".join(f"{xi!r},{ti!r},{vi!r}\r\n" for xi, ti, vi in zip(*columns)))
+        fh.write(_repr_rows("", ["%r,%r,%r"] * len(columns[0]), values))
 
 
 def emit_manifest(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:

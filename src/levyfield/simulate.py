@@ -13,9 +13,12 @@ function of (master_seed, replication), independent of any parallelism in
 the caller.
 
 A sample travels as a CSV with header j1,...,jd,value and one row per
-lattice point.  The writer joins each block of rows into one string; the
-reader parses with np.loadtxt and checks the box with index arithmetic, so
-neither loops over rows in Python.
+lattice point.  The writer formats one block of rows per leading
+coordinate, through a single %-template of that block's rows filled with
+the block's values.  The reader hands np.loadtxt the lines in chunks of
+about 64 KiB, checks each chunk for a blank line with one list scan, and
+checks the box with index arithmetic.  So Python steps run per block and
+per chunk, and the per-row work is the repr of each value and the parse.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class GridSample:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if vals.ndim == 0:
+            raise InvalidInputError("window must have at least one dimension")
         if vals.size < 1:
             raise InvalidInputError("window must contain at least one point")
         if not np.all(np.isfinite(vals)):
@@ -140,6 +145,13 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
     return GridSample(out)
 
 
+def _repr_rows(head: str, bodies: list[str], values: list) -> str:
+    """CSV rows in csv.writer's format: row i is ``head + bodies[i]``, each
+    ``%r`` of it filled with the repr of the next of ``values``, and ended
+    by "\\r\\n"."""
+    return (head + f"\r\n{head}".join(bodies) + "\r\n") % tuple(values)
+
+
 def write_sample_csv(sample: GridSample, path) -> None:
     """CSV with header j1,...,jd,value; one row per lattice point, row-major.
 
@@ -149,22 +161,26 @@ def write_sample_csv(sample: GridSample, path) -> None:
     """
     shape = sample.window
     header = [f"j{i + 1}" for i in range(sample.d)] + ["value"]
-    # the fields "j2,...,jd," of the rows of one block, in row-major order
-    tails = ["".join(f"{i}," for i in idx) for idx in itertools.product(*map(range, shape[1:]))]
+    # the fields "j2,...,jd,value" of the rows of one block, in row-major order
+    bodies = ["".join(f"{i}," for i in idx) + "%r"
+              for idx in itertools.product(*map(range, shape[1:]))]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lead, block in enumerate(sample.values.reshape(shape[0], -1)):
-            fh.write("".join(f"{lead},{t}{v!r}\r\n" for t, v in zip(tails, block.tolist())))
+            fh.write(_repr_rows(f"{lead},", bodies, block.tolist()))
 
 
-def _data_lines(fh):
-    """The remaining lines of fh, refusing a blank one, which np.loadtxt
-    would skip, and an empty remainder, on which it would only warn."""
+def _data_chunks(fh):
+    """The remaining lines of fh in lists of about 64 KiB, refusing a blank
+    one, which np.loadtxt would skip, and an empty remainder, on which it
+    would only warn."""
     n = 0
-    for n, line in enumerate(fh, 1):
-        if line == "\n":  # universal newlines end every line in "\n"
+    while chunk := fh.readlines(1 << 16):
+        if "\n" in chunk:  # universal newlines end every line in "\n"
+            n += chunk.index("\n") + 1
             raise ValueError(f"blank line {n} after the header")
-        yield line
+        n += len(chunk)
+        yield chunk
     if n == 0:
         raise ValueError("no observations")
 
@@ -181,7 +197,8 @@ def read_sample_csv(path) -> GridSample:
             if d < 1 or header[-1] != "value":
                 raise ValueError(f"unexpected header {header}")
             dtype = [(f"j{i + 1}", np.int64) for i in range(d)] + [("value", float)]
-            rows = np.loadtxt(_data_lines(fh), dtype=dtype, delimiter=",", quotechar='"',
+            lines = itertools.chain.from_iterable(_data_chunks(fh))
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                               comments=None, ndmin=1)
     except (ValueError, StopIteration, csv.Error) as exc:
         raise InvalidInputError(f"malformed sample CSV {path}: {exc}") from exc

@@ -451,6 +451,18 @@ class TestOutputs:
             writer.writerow([repr(float(v)) for v in row])
         assert path.read_bytes() == ref.getvalue().encode()
 
+    def test_estimate_csv_bytes_on_a_large_grid(self, tmp_path):
+        grid = symmetric_grid(3.0, 2048)
+        rng = np.random.default_rng(3)
+        est, truth = (GridFunction(grid, rng.standard_normal(2048) * 10.0 ** rng.integers(-30, 30, 2048))
+                      for _ in range(2))
+        path = tmp_path / "e.csv"
+        emit_estimate_csv(path, est, truth)
+        ref = io.StringIO()
+        csv.writer(ref).writerows([["x", "g0_true", "g0_hat"]] + [
+            [repr(float(v)) for v in row] for row in zip(grid.nodes(), truth.values, est.values)])
+        assert path.read_bytes() == ref.getvalue().encode()
+
     def test_manifest_contains_hash(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -136,6 +137,30 @@ class TestGridSample:
         with pytest.raises(InvalidInputError, match="at least one point"):
             GridSample(np.zeros((0, 3)))
 
+    def test_zero_dimensional_window_refused(self):
+        # a 0-d sample has no window; the CSV writer would have no leading axis
+        with pytest.raises(InvalidInputError, match="at least one dimension"):
+            GridSample(np.array(1.5))
+
+
+def _csv_writer_bytes(vals: np.ndarray, quoting=csv.QUOTE_MINIMAL) -> bytes:
+    """The sample file as csv.writer writes the coordinates and repr of each value."""
+    ref = io.StringIO()
+    writer = csv.writer(ref, quoting=quoting)
+    writer.writerow([f"j{i + 1}" for i in range(vals.ndim)] + ["value"])
+    for idx, v in zip(np.ndindex(*vals.shape), vals.reshape(-1)):
+        writer.writerow([*idx, repr(float(v))])
+    return ref.getvalue().encode()
+
+
+def _mixed_values(shape, seed=0) -> np.ndarray:
+    """Floats of every magnitude and both signs, with the awkward reprs mixed in."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, 123456789.0]
+    vals.reshape(-1)[:len(special)] = special
+    return vals
+
 
 class TestSampleCsv:
     def test_round_trip(self, bench_kernel, gaussian_law, tmp_path):
@@ -164,14 +189,9 @@ class TestSampleCsv:
         vals = np.array(data.draw(st.lists(value, min_size=n, max_size=n))).reshape(shape)
         s = GridSample(vals)
         with tempfile.TemporaryDirectory() as tmp:
-            path, ref = Path(tmp) / "s.csv", Path(tmp) / "ref.csv"
+            path = Path(tmp) / "s.csv"
             write_sample_csv(s, path)
-            with open(ref, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"j{i + 1}" for i in range(len(shape))] + ["value"])
-                for idx, v in zip(np.ndindex(*shape), vals.reshape(-1)):
-                    writer.writerow([*idx, repr(float(v))])
-            assert path.read_bytes() == ref.read_bytes()
+            assert path.read_bytes() == _csv_writer_bytes(vals)
             back = read_sample_csv(path)
         assert back.window == tuple(shape)
         assert np.array_equal(back.values, vals)
@@ -185,9 +205,61 @@ class TestSampleCsv:
 
     def test_fully_quoted_file_loads(self, tmp_path):
         path = tmp_path / "q.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-            writer.writerow(["j1", "j2", "value"])
-            for idx, v in zip(np.ndindex(2, 3), np.arange(6.0) - 2.5):
-                writer.writerow([*idx, repr(float(v))])
+        path.write_bytes(_csv_writer_bytes(np.arange(6.0).reshape(2, 3) - 2.5, csv.QUOTE_ALL))
         assert np.array_equal(read_sample_csv(path).values, np.arange(6.0).reshape(2, 3) - 2.5)
+
+    # the hypothesis test above reaches extents of 6 at most
+    @pytest.mark.parametrize("shape", [(2, 3000), (5000,), (3, 4, 500)])
+    def test_large_windows_match_csv_writer(self, shape, tmp_path):
+        vals = _mixed_values(shape)
+        path = tmp_path / "s.csv"
+        write_sample_csv(GridSample(vals), path)
+        assert path.read_bytes() == _csv_writer_bytes(vals)
+        back = read_sample_csv(path)
+        assert np.array_equal(back.values, vals)
+        assert np.array_equal(np.signbit(back.values), np.signbit(vals))
+
+
+class TestSampleCsvChunks:
+    """The reader takes lines in chunks of about 64 KiB; these samples span many."""
+
+    SHAPE = (40, 500)
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        """The lines, CRLF ended, of a sample file of about 0.9 MB."""
+        vals = _mixed_values(self.SHAPE, seed=1)
+        path = tmp_path / "s.csv"
+        write_sample_csv(GridSample(vals), path)
+        text = path.read_bytes().decode()
+        assert len(text) > 8 << 16
+        return vals, text.splitlines(keepends=True)
+
+    def _read(self, tmp_path, text: str):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        return read_sample_csv(path)
+
+    @pytest.mark.parametrize("after", [1, 14_999, 19_999])
+    def test_blank_line_refused_with_its_line_number(self, lines, tmp_path, after):
+        _, lines = lines
+        # lines[0] is the header; the blank line is data line `after + 1`
+        text = "".join(lines[:after + 1] + ["\r\n"] + lines[after + 1:])
+        with pytest.raises(InvalidInputError, match=f"blank line {after + 1} after the header$"):
+            self._read(tmp_path, text)
+
+    def test_trailing_blank_line_refused(self, lines, tmp_path):
+        _, lines = lines
+        with pytest.raises(InvalidInputError, match="blank line 20001 after the header$"):
+            self._read(tmp_path, "".join(lines) + "\r\n")
+
+    @pytest.mark.parametrize("form", ["cr", "no final newline", "quote all"])
+    def test_line_forms_load(self, lines, tmp_path, form):
+        vals, lines = lines
+        if form == "cr":
+            text = "".join(line.replace("\r\n", "\r") for line in lines)
+        elif form == "no final newline":
+            text = "".join(lines).removesuffix("\r\n")
+        else:
+            text = _csv_writer_bytes(vals, csv.QUOTE_ALL).decode()
+        assert np.array_equal(self._read(tmp_path, text).values, vals)
