@@ -86,6 +86,19 @@ _KEEP = 8
 _CELL_TERMS = 13
 # Gauss-Legendre nodes per panel of :func:`_gauss_panels`, exact to degree 39
 _GAUSS_NODES = 20
+# Bytes of the block allocated and freed once at import.  glibc serves a
+# block this large, more than the heap's free top holds at import, with its
+# own mapping and, when it is freed, raises its dynamic mmap threshold to the
+# block's size and its trim threshold to twice that, as it does for any
+# large freed array; under other allocators it is one short-lived block.
+# Below those thresholds the pipelines' per-op arrays (about 0.6 MB in one
+# oracle Fourier op's inverse transform) are reused from the heap between
+# ops instead of being trimmed and faulted back in each op.  Without this
+# the thresholds rose only if some earlier large temporary happened to be
+# mapped rather than cut from free heap, which depended on the process's
+# heap layout.
+_HEAP_FLOOR = 1 << 21
+np.empty(_HEAP_FLOOR, dtype=np.uint8)
 
 
 def _freeze(value):
@@ -408,10 +421,7 @@ def _interp_plan(x: Grid1D, targets: bytes, sign: float, n_targets: int):
     offsets = np.arange(1 - half, half + 1, dtype=np.intp)
     cols = np.add.outer(offsets, node)
     cols &= m_r - 1
-    # built target-major and copied: the (len(u), _ES_WIDTH) temporary that
-    # is freed here raises glibc's dynamic mmap and trim thresholds, without
-    # which the pipelines' per-op arrays are trimmed and faulted back each op
-    weights = _es_kernel(np.subtract.outer(t, offsets / half)).T.copy()
+    weights = _es_kernel(np.subtract.outer(offsets / half, t))
     centre = x.lo + c * x.spacing
     phase = np.exp(1j * sign * centre * u) if centre != 0.0 else None
     return cols, weights, phase

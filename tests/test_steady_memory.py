@@ -33,10 +33,11 @@ print(json.dumps(counts))
 """
 
 # Median minor faults per op after the warm-up op.  Steady ops take about 0:
-# every array they free is reused from the heap.  A type-2 plan built
-# without freeing a large temporary leaves glibc's mmap and trim thresholds
-# low, and then each op's arrays are unmapped or trimmed and faulted back:
-# 128-476 faults per op on these ops, in every process.
+# every array they free is reused from the heap.  Without the block that
+# grids frees at import (grids._HEAP_FLOOR), glibc's mmap and trim
+# thresholds stay low in most heap layouts, and then each op's arrays are
+# unmapped or trimmed and faulted back: 126-198 faults per oracle op and
+# about 550 per table op.
 FAULTS_PER_OP = 40
 
 
