@@ -31,8 +31,14 @@ Groups:
   its Fourier runs print their MSEs to 17 digits, since their spectral
   weights are coefficient/|scale| of the series table, which may round
   differently from a closed formula of another tree.
+
+With ``--record PATH`` the script also writes, as JSON, the MSE of every
+run of each group that has MSEs (every group but the sample CSVs): the
+numerics record ``tests/data/numerics.json`` that
+``tests/test_numerics.py`` checks at 1e-9 relative.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -47,6 +53,7 @@ import numpy as np
 from levyfield import cli
 from levyfield.bench import run_pipeline
 from levyfield.config import ExperimentConfig, section7_config
+from levyfield.grids import Grid1D, GridFunction, l2_norm
 from levyfield.simulate import GridSample, read_sample_csv, write_sample_csv
 
 LAWS = ("gaussian", "exponential")
@@ -54,19 +61,23 @@ METHODS = ("plugin", "fourier", "onb")
 CELLS = [(law, method) for law in LAWS for method in METHODS]
 
 
-def _pipeline_digest(runs) -> str:
-    """sha256 over the estimate values and the MSE of each (config, rep)."""
+def _pipeline_digest(runs) -> tuple[str, list[float]]:
+    """sha256 over the estimate values and the MSE of each (config, rep),
+    and the MSEs."""
     h = hashlib.sha256()
+    mses = []
     for cfg, rep in runs:
         out = run_pipeline(cfg, rep)
         h.update(out.estimate.values.tobytes())
         h.update(np.float64(out.mse).tobytes())
-    return h.hexdigest()
+        mses.append(out.mse)
+    return h.hexdigest(), mses
 
 
-def _mses(runs) -> str:
-    """The MSE of each (config, rep), to 17 significant digits."""
-    return " ".join(f"{run_pipeline(cfg, rep).mse:.17g}" for cfg, rep in runs)
+def _mses(runs) -> tuple[str, list[float]]:
+    """The MSE of each (config, rep), to 17 significant digits, and the MSEs."""
+    mses = [run_pipeline(cfg, rep).mse for cfg, rep in runs]
+    return " ".join(f"{mse:.17g}" for mse in mses), mses
 
 
 def _deep_runs(method: str):
@@ -76,9 +87,11 @@ def _deep_runs(method: str):
             for law in LAWS for oracle in (False, True)]
 
 
-def _cli_digest() -> str:
-    """sha256 over the sample and estimate CSV bytes of one CLI round trip per cell."""
+def _cli_digest() -> tuple[str, list[float]]:
+    """sha256 over the sample and estimate CSV bytes of one CLI round trip
+    per cell, and the squared L2 error of each estimate CSV."""
     h = hashlib.sha256()
+    mses = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for law, method in CELLS:
@@ -94,11 +107,14 @@ def _cli_digest() -> str:
                         raise SystemExit(f"cli {argv[0]} for {law}/{method} exited {code}")
             h.update(sample.read_bytes())
             h.update(estimate.read_bytes())
-    return h.hexdigest()
+            x, truth, hat = np.loadtxt(estimate, delimiter=",", skiprows=1, unpack=True)
+            mses.append(l2_norm(GridFunction(Grid1D(x[0], x[-1], len(x)), hat - truth)) ** 2)
+    return h.hexdigest(), mses
 
 
-def _sample_csv_digest() -> str:
-    """sha256 over the CSV bytes of fixed 1-d and 3-d samples and the values read back."""
+def _sample_csv_digest() -> tuple[str, list[float]]:
+    """sha256 over the CSV bytes of fixed 1-d and 3-d samples and the values
+    read back; the group has no MSEs."""
     h = hashlib.sha256()
     rng = np.random.default_rng(31)
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,7 +124,7 @@ def _sample_csv_digest() -> str:
             write_sample_csv(GridSample(values), path)
             h.update(path.read_bytes())
             h.update(read_sample_csv(path).values.tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), []
 
 
 def _tabulated(n: int) -> dict:
@@ -123,7 +139,8 @@ def _tabulated_runs(n: int):
 
 
 def groups():
-    """(name, zero-argument function returning the line) per group, in print order."""
+    """(name, zero-argument function returning the line and the group's
+    MSEs) per group, in print order."""
     small_kernel = {"coeffs": [0.6, 0.2, 0.1], "offsets": [[0, 0], [1, 0], [0, 1]]}
     return [
         ("section7 reps 0-3", lambda: _pipeline_digest(
@@ -147,10 +164,24 @@ def groups():
     ]
 
 
-def main() -> int:
-    warnings.simplefilter("ignore")  # contraction and coverage warnings are not bytes
-    for name, digest in groups():
-        print(f"{digest()}  {name}")
+def results() -> dict[str, tuple[str, list[float]]]:
+    """The line and the MSEs of each group, by name, in print order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # contraction and coverage warnings are not bytes
+        return {name: group() for name, group in groups()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--record", metavar="PATH",
+                        help="also write the MSEs of every group to PATH as JSON")
+    args = parser.parse_args(argv)
+    out = results()
+    for name, (line, _) in out.items():
+        print(f"{line}  {name}")
+    if args.record:
+        record = {name: mses for name, (_, mses) in out.items() if mses}
+        Path(args.record).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -11,7 +11,8 @@ ecf       empirical characteristic functions and the spectral g1 estimator
 invert    fixed-point series inversion (plug-in and Fourier methods)
 onb       orthonormal-basis inversion on [-A, A]
 smooth    smoothing kernels, bias rates, bandwidth selection
-bench     experiment pipelines, Monte Carlo batches, validation suites
+bench     experiment pipelines, Monte Carlo batches, outputs
+validate  validation suites and their table, read by ``levyfield validate``
 """
 
 from .config import ExperimentConfig, section7_config

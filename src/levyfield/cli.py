@@ -7,7 +7,8 @@ Subcommands:
              [--method plugin|fourier|onb]   (default: the config's method)
     bench    --config C.json [--reps R] [--workers W] --out results.csv
              [--manifest manifest.json] [--dump-estimates DIR]
-    validate --suite appendix-rates|kernels|fixed-point|onb [--config C.json] [--reps R]
+    validate --suite SUITE [--config C.json] [--reps R]
+             (each SUITE and the options it reads: levyfield.validate.SUITES)
 
 Exit codes: 0 ok, 2 config error, 3 numeric or precondition error, 4 I/O error.
 """
@@ -66,31 +67,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _print_checks(report: dict) -> int:
-    for name, ok in report["checks"]:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return 0 if report["ok"] else 3
+class _SuiteNames:
+    """The --suite choices, validate.SUITES, imported when argparse reads them."""
+
+    def __iter__(self):
+        from . import validate
+        return iter(validate.SUITES)
 
 
 def _cmd_validate(args) -> int:
-    if args.suite == "appendix-rates":
-        cfg = (ExperimentConfig.from_json(args.config) if args.config
-               else ExperimentConfig())
-        rep = bench.validate_appendix_rates(cfg, reps=200 if args.reps is None else args.reps)
-        print(f"{'N':>8s} {'E|psi_err|^2':>14s} {'E|theta_err|^4':>16s}")
-        for n, e2, e4 in zip(rep["n"], rep["mean_sq_psi_err"], rep["mean_quart_theta_err"]):
-            print(f"{n:8d} {e2:14.4e} {e4:16.4e}")
-        print(f"slope E|psi_hat-psi|^2 : {rep['slope_psi']:+.3f} (target -1 +- 0.15)")
-        print(f"slope E|theta_hat-theta|^4 : {rep['slope_theta']:+.3f} (target -2 +- 0.2)")
-        print("PASS" if rep["ok"] else "FAIL")
-        return 0 if rep["ok"] else 3
-    if args.suite == "kernels":
-        return _print_checks(bench.validate_kernels())
-    if args.suite == "fixed-point":
-        return _print_checks(bench.validate_fixed_point())
-    if args.suite == "onb":
-        return _print_checks(bench.validate_onb())
-    raise ConfigError(f"unknown validation suite {args.suite!r}")
+    from . import validate
+    lines, ok = validate.run_suite(args.suite, config=args.config, reps=args.reps)
+    print(*lines, sep="\n")
+    return 0 if ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("validate", help="run a validation suite")
-    p.add_argument("--suite", required=True,
-                   choices=("appendix-rates", "kernels", "fixed-point", "onb"))
+    p.add_argument("--suite", required=True, choices=_SuiteNames(), metavar="SUITE",
+                   help="one of %(choices)s")
     p.add_argument("--config", default=None)
     p.add_argument("--reps", type=int, default=None)
     p.set_defaults(func=_cmd_validate)

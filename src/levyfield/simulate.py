@@ -14,10 +14,11 @@ the caller.
 
 A sample travels as a CSV with header j1,...,jd,value and one row per
 lattice point.  The writer formats one block of rows per leading
-coordinate, through a single %-template of that block's rows filled with
-the block's values.  The reader hands np.loadtxt the lines in chunks of
-about 64 KiB, checks each chunk for a blank line with one list scan, and
-checks the box with index arithmetic.  So Python steps run per block and
+coordinate (per _BLOCK_ROWS rows of a 1-d window), through a single
+%-template of that block's rows filled with the block's values.  The
+reader hands np.loadtxt the lines in chunks of about 64 KiB, checks each
+chunk for a blank line with one list scan, and checks the box with index
+arithmetic.  So Python steps run per block and
 per chunk, and the per-row work is the repr of each value and the parse.
 """
 
@@ -35,6 +36,8 @@ from .grids import _check_budget
 from .model import JumpLaw, SimpleKernel
 
 __all__ = ["SeedSpec", "GridSample", "sample_field", "write_sample_csv", "read_sample_csv"]
+
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ def sample_field(kernel: SimpleKernel, law: JumpLaw, window: tuple[int, ...],
 
 def _repr_rows(head: str, bodies: list[str], values: list) -> str:
     """CSV rows in csv.writer's format: row i is ``head + bodies[i]``, each
-    ``%r`` of it filled with the repr of the next of ``values``, and ended
-    by "\\r\\n"."""
+    ``%r`` (``%d``) of it filled with the repr (str) of the next of
+    ``values``, and ended by "\\r\\n"."""
     return (head + f"\r\n{head}".join(bodies) + "\r\n") % tuple(values)
 
 
@@ -157,15 +160,23 @@ def write_sample_csv(sample: GridSample, path) -> None:
 
     The bytes are those of ``csv.writer`` writing the coordinates and
     ``repr`` of each value: no field needs quoting, and lines end in
-    "\\r\\n".  One block of rows is written per leading coordinate.
+    "\\r\\n".  One block of rows is written per leading coordinate, or per
+    _BLOCK_ROWS rows of a 1-d window, whose coordinates share no text.
     """
     shape = sample.window
     header = [f"j{i + 1}" for i in range(sample.d)] + ["value"]
-    # the fields "j2,...,jd,value" of the rows of one block, in row-major order
-    bodies = ["".join(f"{i}," for i in idx) + "%r"
-              for idx in itertools.product(*map(range, shape[1:]))]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
+        if sample.d == 1:
+            for lo in range(0, shape[0], _BLOCK_ROWS):
+                block = sample.values[lo:lo + _BLOCK_ROWS].tolist()
+                fields = [None] * (2 * len(block))
+                fields[0::2], fields[1::2] = range(lo, lo + len(block)), block
+                fh.write(_repr_rows("", ["%d,%r"] * len(block), fields))
+            return
+        # the fields "j2,...,jd,value" of the rows of one block, in row-major order
+        bodies = ["".join(f"{i}," for i in idx) + "%r"
+                  for idx in itertools.product(*map(range, shape[1:]))]
         for lead, block in enumerate(sample.values.reshape(shape[0], -1)):
             fh.write(_repr_rows(f"{lead},", bodies, block.tolist()))
 

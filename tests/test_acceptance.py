@@ -13,13 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from levyfield.bench import (
-    run_bench,
-    validate_appendix_rates,
-    validate_fixed_point,
-    validate_kernels,
-    validate_onb,
-)
+from levyfield.bench import run_bench
 from levyfield.config import TABLE1, ExperimentConfig, section7_config
 from levyfield.errors import SingularRecoveryError
 from levyfield.invert import build_series_plan, contraction_factor
@@ -30,6 +24,12 @@ from levyfield.model import (
     forward_drift,
     forward_gaussian,
     recover_a0_b0,
+)
+from levyfield.validate import (
+    validate_appendix_rates,
+    validate_fixed_point,
+    validate_kernels,
+    validate_onb,
 )
 
 

@@ -15,20 +15,20 @@ import numpy as np
 import pytest
 
 import levyfield
-from levyfield import bench, grids, onb
+from levyfield import bench, grids, onb, validate
 from levyfield.bench import (
     emit_estimate_csv,
     emit_manifest,
     emit_results_csv,
     run_bench,
     run_pipeline,
-    validate_appendix_rates,
 )
 from levyfield.cli import main as cli_main
 from levyfield.config import ExperimentConfig, section7_config
 from levyfield.errors import ConfigError, CoverageError, PreconditionError, ResourceLimitError
 from levyfield.grids import Grid1D, GridFunction, symmetric_grid
 from levyfield.simulate import SeedSpec, sample_field
+from levyfield.validate import validate_appendix_rates
 
 
 def small_cfg(**over):
@@ -618,7 +618,7 @@ class TestCli:
 
     def test_appendix_rates_budget_exit_code(self, monkeypatch):
         # 10^12 replications of 14584 cells, refused before the first sample
-        monkeypatch.setattr(bench, "sample_field", None)  # a call would be exit 1
+        monkeypatch.setattr(validate, "sample_field", None)  # a call would be exit 1
         assert cli_main(["validate", "--suite", "appendix-rates", "--reps", str(10 ** 12)]) == 3
 
     def test_appendix_rates_non_finite_moment_exit_code(self, tmp_path, capsys):
@@ -778,6 +778,28 @@ class TestCli:
                          "--out", str(missing_dir)]) == 4
         assert cli_main(["bench", "--config", str(tmp_path / "absent.json"),
                          "--out", str(tmp_path / "r.csv")]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--reps", "0"],
+        ["--reps", "2"],
+        ["--config", "/nonexistent/cfg.json"],
+        ["--config", "/nonexistent/cfg.json", "--reps", "2"],
+    ], ids=["reps=0", "reps=2", "config", "config-reps"])
+    @pytest.mark.parametrize("suite", ["kernels", "fixed-point", "onb"])
+    def test_validate_option_a_suite_does_not_read(self, capsys, suite, argv):
+        # these suites read neither option: giving one is a config error
+        # naming the suite and the option, not a run that ignores it
+        assert cli_main(["validate", "--suite", suite, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error:") and f"the {suite} suite" in err
+        assert all(opt in err for opt in argv if opt.startswith("--"))
+
+    def test_appendix_rates_reads_an_empty_config_path(self, capsys):
+        # "" is a path that names no file, not an absent --config
+        assert cli_main(["validate", "--suite", "appendix-rates", "--config", "",
+                         "--reps", "2"]) == 4
+        assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_validate_suites(self):
         for suite in ("fixed-point", "onb", "appendix-rates"):

@@ -58,8 +58,9 @@ for method in ("plugin", "fourier", "onb"):
 after = scipy_modules()
 polynomial = "numpy.polynomial" in sys.modules
 run("bench", "bench", "--config", cfg_path, "--reps", "2", "--out", sample_path + ".bench")
-for suite in ("kernels", "fixed-point", "onb", "appendix-rates"):
-    run("validate " + suite, "validate", "--suite", suite, "--reps", "2")
+for suite in ("kernels", "fixed-point", "onb"):
+    run("validate " + suite, "validate", "--suite", suite)
+run("validate appendix-rates", "validate", "--suite", "appendix-rates", "--reps", "2")
 print(json.dumps({"before": before, "after": after, "polynomial": polynomial,
                   "codes": codes, "scipy": scipy_modules()}))
 """
@@ -86,3 +87,27 @@ def test_import_footprint(tmp_path):
         "bench": 0, "validate kernels": 0, "validate fixed-point": 0, "validate onb": 0,
         "validate appendix-rates": 3,
     }
+
+
+# Run in a fresh interpreter: import the CLI and the pipelines, build the
+# CLI's parser and parse a simulate command, then print the levyfield
+# modules loaded.
+_IMPORTS = """
+import sys
+from levyfield import bench, cli
+cli.build_parser().parse_args(["simulate", "--config", "c.json", "--out", "s.csv"])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "levyfield")))
+"""
+
+
+def test_cli_and_bench_do_not_load_the_validation_suites():
+    # only the validate command loads levyfield.validate, so the other
+    # commands and the benchmark's pipelines import what they did before
+    # the suites had a module of their own
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["levyfield"] + [f"levyfield.{name}" for name in (
+        "bench", "cli", "config", "ecf", "errors", "grids", "invert", "model", "onb",
+        "simulate", "smooth")]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfield import simulate
 from levyfield.errors import InvalidInputError, ResourceLimitError
 from levyfield.grids import symmetric_grid
 from levyfield.model import SimpleKernel, field_char_fn
@@ -218,6 +219,16 @@ class TestSampleCsv:
         back = read_sample_csv(path)
         assert np.array_equal(back.values, vals)
         assert np.array_equal(np.signbit(back.values), np.signbit(vals))
+
+    @pytest.mark.parametrize("n", [7, 63, 64, 65, 1000])
+    def test_1d_blocks_match_csv_writer(self, monkeypatch, tmp_path, n):
+        # a 1-d window is written in blocks of _BLOCK_ROWS rows: here one
+        # short block, one full block, a full block and one row, and many
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 64)
+        vals = _mixed_values((n,))
+        path = tmp_path / "s.csv"
+        write_sample_csv(GridSample(vals), path)
+        assert path.read_bytes() == _csv_writer_bytes(vals)
 
 
 class TestSampleCsvChunks:
